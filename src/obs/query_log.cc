@@ -402,6 +402,13 @@ void QueryLog::WriteIntrospectionReport(std::ostream& os, size_t top_n) const {
          << static_cast<uint64_t>(
                 reg.GetGauge("store.index.osp.bytes").value())
          << "\n";
+      os << "  subject directory bytes: "
+         << static_cast<uint64_t>(
+                reg.GetGauge("store.bytes.subject_directory").value())
+         << ", numeric column bytes: "
+         << static_cast<uint64_t>(
+                reg.GetGauge("store.bytes.numeric_column").value())
+         << " (both in heap)\n";
     }
     // Epoch chain (live stores only: store.epoch is published exclusively
     // by chain publications, so it stays 0 on freeze-once stores).

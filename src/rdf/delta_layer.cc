@@ -37,6 +37,7 @@ size_t DeltaLayer::MemoryUsage() const {
 
 size_t LiveBase::MemoryUsage() const {
   return TripleBytes(spo) + TripleBytes(pos) + TripleBytes(osp) +
+         directory.bytes() +
          stats.size() *
              (sizeof(TermId) + sizeof(PredicateStats) + 2 * sizeof(void*));
 }

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "rdf/index_cursor.h"
+#include "rdf/subject_directory.h"
 #include "rdf/triple.h"
 #include "rdf/triple_store.h"
 
@@ -96,6 +97,7 @@ struct LiveBase {
   std::vector<EncodedTriple> pos;  // sorted by (p, o, s)
   std::vector<EncodedTriple> osp;  // sorted by (o, s, p)
   std::unordered_map<TermId, PredicateStats> stats;
+  SubjectDirectory directory;  // subject runs of `spo`
 
   size_t MemoryUsage() const;
 };

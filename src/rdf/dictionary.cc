@@ -12,6 +12,7 @@ TermId Dictionary::Intern(const Term& term) {
   TermId id = static_cast<TermId>(terms_.size());
   // Push before inserting the id: the index hashes ids through terms_.
   terms_.push_back(term);
+  numeric_.push_back(NumericOf(term));
   index_.insert(id);
   return id;
 }
@@ -29,6 +30,7 @@ TermId Dictionary::Intern(Term&& term) {
     terms_.pop_back();
     return *it;
   }
+  numeric_.push_back(NumericOf(terms_.back()));
   return id;
 }
 
@@ -49,6 +51,7 @@ TermId Dictionary::InternLive(const Term& term) {
   const TermId id = static_cast<TermId>(terms_.size() + ext_terms_.size());
   eit->second = id;
   ext_terms_.push_back(term);
+  ext_numeric_.push_back(NumericOf(term));
   return id;
 }
 
@@ -58,6 +61,13 @@ const Term& Dictionary::ExtTerm(TermId id) const {
   assert(id >= terms_.size() && id < terms_.size() + ext_terms_.size());
   // Deque elements have stable addresses: the reference outlives the lock.
   return ext_terms_[id - terms_.size()];
+}
+
+double Dictionary::ExtNumeric(TermId id) const {
+  assert(live());
+  std::shared_lock lk(ext_mu_);
+  assert(id >= terms_.size() && id < terms_.size() + ext_numeric_.size());
+  return ext_numeric_[id - terms_.size()];
 }
 
 TermId Dictionary::Lookup(const Term& term) const {
@@ -72,11 +82,21 @@ TermId Dictionary::Lookup(const Term& term) const {
 void Dictionary::Reserve(size_t n) {
   assert(!live() && "Dictionary::Reserve() on a live dictionary");
   terms_.reserve(n + 1);
+  numeric_.reserve(n + 1);
   index_.reserve(n);
 }
 
+size_t Dictionary::numeric_bytes() const {
+  size_t bytes = numeric_.capacity() * sizeof(double);
+  if (live()) {
+    std::shared_lock lk(ext_mu_);
+    bytes += ext_numeric_.size() * sizeof(double);
+  }
+  return bytes;
+}
+
 size_t Dictionary::MemoryUsage() const {
-  size_t bytes = terms_.capacity() * sizeof(Term);
+  size_t bytes = terms_.capacity() * sizeof(Term) + numeric_bytes();
   for (const Term& t : terms_) bytes += t.value.capacity();
   // The id index stores 4-byte ids, not Term copies: bucket array + nodes.
   bytes += index_.bucket_count() * sizeof(void*);

@@ -35,6 +35,11 @@ inline constexpr TermId kInvalidTermId = 0;
 /// query paths must use Lookup() only. The TripleStore wrapper asserts
 /// this in debug builds.
 ///
+/// Numeric side column: every term's Term::AsDouble() value is parsed
+/// once when the term is interned (0 for non-numeric terms) and kept in a
+/// dense array parallel to the terms, so aggregation and numeric
+/// comparisons read a double instead of calling strtod per row.
+///
 /// Live mode (EnterLive, driven by TripleStore::EnterLive): the base
 /// mapping built so far becomes immutable — its vector and hash index are
 /// never touched again, so base reads stay lock-free — and new terms land
@@ -48,6 +53,7 @@ class Dictionary {
       : index_(/*bucket_count=*/16, IdHash{&terms_}, IdEq{&terms_}) {
     // Slot 0 is the invalid id.
     terms_.emplace_back();
+    numeric_.push_back(0.0);
   }
 
   Dictionary(const Dictionary&) = delete;
@@ -80,6 +86,13 @@ class Dictionary {
   const Term& term(TermId id) const {
     if (id < terms_.size()) return terms_[id];
     return ExtTerm(id);
+  }
+
+  /// term(id).AsDouble(), precomputed at intern time. `id` must be a
+  /// valid interned id.
+  double numeric(TermId id) const {
+    if (id < numeric_.size()) return numeric_[id];
+    return ExtNumeric(id);
   }
 
   bool IsValid(TermId id) const {
@@ -117,8 +130,12 @@ class Dictionary {
     for (const Term& t : ext_terms_) fn(id++, t);
   }
 
-  /// Approximate heap footprint in bytes (for Table 3-style reporting).
+  /// Approximate heap footprint in bytes (for Table 3-style reporting),
+  /// numeric column included.
   size_t MemoryUsage() const;
+
+  /// Bytes of the numeric side column (part of MemoryUsage()).
+  size_t numeric_bytes() const;
 
  private:
   /// Transparent hash/equality pair for the id index: an id hashes/compares
@@ -146,10 +163,18 @@ class Dictionary {
     bool operator()(const Term& a, TermId b) const { return (*terms)[b] == a; }
   };
 
+  /// The numeric column's entry for `t`: Term::AsDouble(), skipping the
+  /// call for the (mostly IRI) terms that are not numeric literals.
+  static double NumericOf(const Term& t) {
+    return t.is_numeric_literal() ? t.AsDouble() : 0.0;
+  }
+
   /// Extension-area slot for `id` (id >= terms_.size(); live mode only).
   const Term& ExtTerm(TermId id) const;
+  double ExtNumeric(TermId id) const;
 
   std::vector<Term> terms_;
+  std::vector<double> numeric_;  // numeric_[id] = terms_[id].AsDouble()
   std::unordered_set<TermId, IdHash, IdEq> index_;
   // Live-mode extension area: terms interned after EnterLive(). The deque
   // gives stable element addresses, so term() can hand out references
@@ -157,6 +182,7 @@ class Dictionary {
   std::atomic<bool> live_{false};
   mutable std::shared_mutex ext_mu_;
   std::deque<Term> ext_terms_;  // id = terms_.size() + deque index
+  std::deque<double> ext_numeric_;  // parallel to ext_terms_
   std::unordered_map<Term, TermId, TermHash> ext_index_;
 };
 

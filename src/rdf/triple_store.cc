@@ -78,30 +78,14 @@ void TripleStore::ResetIndexState() {
   pos_blocks_.reset();
   osp_blocks_.reset();
   keepalive_.reset();
-}
-
-void TripleStore::AdoptFrozen(std::vector<EncodedTriple> spo,
-                              std::vector<EncodedTriple> pos,
-                              std::vector<EncodedTriple> osp,
-                              std::unordered_map<TermId, PredicateStats> stats,
-                              uint64_t epoch) {
-  assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
-         "TripleStore::AdoptFrozen() during concurrent reads");
-  assert(!live() && "TripleStore::AdoptFrozen() on a live store");
-  ResetIndexState();
-  spo_ = std::move(spo);
-  pos_ = std::move(pos);
-  osp_ = std::move(osp);
-  stats_ = std::move(stats);
-  frozen_ = true;
-  freeze_epoch_ = epoch;
-  UpdateStoreGauges();
+  directory_ = SubjectDirectory();
 }
 
 void TripleStore::AdoptFrozenView(
     std::span<const EncodedTriple> spo, std::span<const EncodedTriple> pos,
     std::span<const EncodedTriple> osp,
-    std::unordered_map<TermId, PredicateStats> stats, uint64_t epoch,
+    std::unordered_map<TermId, PredicateStats> stats,
+    SubjectDirectory directory, uint64_t epoch,
     std::shared_ptr<const void> keepalive) {
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
          "TripleStore::AdoptFrozenView() during concurrent reads");
@@ -112,6 +96,7 @@ void TripleStore::AdoptFrozenView(
   pos_view_ = pos;
   osp_view_ = osp;
   keepalive_ = std::move(keepalive);
+  directory_ = std::move(directory);
   stats_ = std::move(stats);
   frozen_ = true;
   freeze_epoch_ = epoch;
@@ -121,7 +106,8 @@ void TripleStore::AdoptFrozenView(
 void TripleStore::AdoptFrozenCompressed(
     CompressedPermutation spo, CompressedPermutation pos,
     CompressedPermutation osp,
-    std::unordered_map<TermId, PredicateStats> stats, uint64_t epoch,
+    std::unordered_map<TermId, PredicateStats> stats,
+    SubjectDirectory directory, uint64_t epoch,
     std::shared_ptr<const void> keepalive) {
   assert(active_readers_.load(std::memory_order_relaxed) == 0 &&
          "TripleStore::AdoptFrozenCompressed() during concurrent reads");
@@ -132,6 +118,7 @@ void TripleStore::AdoptFrozenCompressed(
   pos_blocks_ = std::make_unique<CompressedPermutation>(std::move(pos));
   osp_blocks_ = std::make_unique<CompressedPermutation>(std::move(osp));
   keepalive_ = std::move(keepalive);
+  directory_ = std::move(directory);
   stats_ = std::move(stats);
   frozen_ = true;
   freeze_epoch_ = epoch;
@@ -153,6 +140,7 @@ void TripleStore::Freeze(util::ThreadPool* pool) {
     obs::Span child("store.compute_stats");
     ComputeStats(pool);
   }
+  directory_ = SubjectDirectory::Build(spo_);
   if (format_ == IndexFormat::kCompressed) {
     obs::Span child("store.compress_indexes");
     CompressIndexes(pool);
@@ -284,9 +272,26 @@ void TripleStore::CompressIndexes(util::ThreadPool* pool) {
   osp_.shrink_to_fit();
 }
 
-IndexRange TripleStore::PermutationRange(Perm perm) const {
-  if (live()) return LivePermutationRange(perm);
-  return ClassicPermutationRange(perm);
+IndexRange TripleStore::PermutationRange(
+    Perm perm, const SubjectDirectory** directory) const {
+  const SubjectDirectory* dir = &directory_;
+  IndexRange range;
+  if (live()) {
+    std::shared_ptr<const EpochChain> chain = PinnedChain();
+    if (!chain->layers.empty()) {
+      dir = nullptr;
+    } else if (chain->base != nullptr) {
+      dir = &chain->base->directory;
+    }
+    range = ChainPermutationRange(std::move(chain), perm);
+  } else {
+    range = ClassicPermutationRange(perm);
+  }
+  if (directory != nullptr) {
+    *directory =
+        perm == Perm::kSpo && dir != nullptr && !dir->empty() ? dir : nullptr;
+  }
+  return range;
 }
 
 IndexRange TripleStore::ClassicPermutationRange(Perm perm) const {
@@ -440,10 +445,6 @@ void TripleStore::UpdateChainGauges(const EpochChain& chain) const {
       .Set(static_cast<double>(chain.visible_triples));
 }
 
-IndexRange TripleStore::LivePermutationRange(Perm perm) const {
-  return ChainPermutationRange(PinnedChain(), perm);
-}
-
 IndexRange TripleStore::ChainPermutationRange(
     std::shared_ptr<const EpochChain> chain, Perm perm) const {
   const LiveBase* base = chain->base.get();
@@ -497,9 +498,16 @@ IndexRange TripleStore::Match(const TriplePattern& q) const {
                        EncodedTriple{q.s, kInvalidTermId, q.o},
                        EncodedTriple{q.s, kMaxTermId, q.o});
     }
+    const SubjectDirectory* dir = nullptr;
+    IndexRange spo = PermutationRange(Perm::kSpo, &dir);
+    if (dir != nullptr) {
+      const auto [first, last] = dir->Run(q.s);
+      spo = spo.Slice(first, last);
+      if (!bp) return spo;
+    }
     EncodedTriple lo{q.s, bp ? q.p : kInvalidTermId, bo ? q.o : kInvalidTermId};
     EncodedTriple hi{q.s, bp ? q.p : kMaxTermId, bo ? q.o : kMaxTermId};
-    return ClipRange(PermutationRange(Perm::kSpo), lo, hi);
+    return ClipRange(spo, lo, hi);
   }
   if (bp) {
     // POS serves p / p,o.
@@ -582,7 +590,9 @@ uint64_t TripleStore::ClassicSize() const {
 
 StoreMemory TripleStore::MemoryBreakdown() const {
   StoreMemory m;
-  m.heap_bytes = dict_.MemoryUsage() +
+  m.numeric_bytes = dict_.numeric_bytes();
+  m.directory_bytes = directory_.bytes();
+  m.heap_bytes = dict_.MemoryUsage() + directory_.bytes() +
                  (spo_.capacity() + pos_.capacity() + osp_.capacity()) *
                      sizeof(EncodedTriple) +
                  stats_.size() * (sizeof(TermId) + sizeof(PredicateStats) +
@@ -601,7 +611,10 @@ StoreMemory TripleStore::MemoryBreakdown() const {
   }
   if (live()) {
     std::shared_ptr<const EpochChain> chain = PinnedChain();
-    if (chain->base != nullptr) m.heap_bytes += chain->base->MemoryUsage();
+    if (chain->base != nullptr) {
+      m.heap_bytes += chain->base->MemoryUsage();
+      m.directory_bytes += chain->base->directory.bytes();
+    }
     for (const std::shared_ptr<const DeltaLayer>& layer : chain->layers) {
       m.heap_bytes += layer->MemoryUsage();
     }
@@ -615,6 +628,10 @@ void TripleStore::UpdateStoreGauges() const {
   StoreMemory m = MemoryBreakdown();
   reg.GetGauge("store.bytes.heap").Set(static_cast<double>(m.heap_bytes));
   reg.GetGauge("store.bytes.mapped").Set(static_cast<double>(m.mapped_bytes));
+  reg.GetGauge("store.bytes.subject_directory")
+      .Set(static_cast<double>(m.directory_bytes));
+  reg.GetGauge("store.bytes.numeric_column")
+      .Set(static_cast<double>(m.numeric_bytes));
   auto index_bytes = [this](Perm perm) -> double {
     const CompressedPermutation* cp = perm == Perm::kSpo ? spo_blocks_.get()
                                      : perm == Perm::kPos ? pos_blocks_.get()

@@ -11,6 +11,7 @@
 
 #include "rdf/dictionary.h"
 #include "rdf/index_cursor.h"
+#include "rdf/subject_directory.h"
 #include "rdf/triple.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -59,6 +60,11 @@ std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
 struct StoreMemory {
   size_t heap_bytes = 0;
   size_t mapped_bytes = 0;
+  /// Parts of heap_bytes: the subject directories (frozen base and, on
+  /// live stores, the compacted chain base) and the dictionary's numeric
+  /// side column.
+  size_t directory_bytes = 0;
+  size_t numeric_bytes = 0;
 };
 
 /// In-memory RDF triple store with dictionary encoding and three sorted
@@ -210,36 +216,33 @@ class TripleStore {
 
   /// --- Snapshot restore (src/storage/) -----------------------------------
 
-  /// Installs a fully built frozen image: the three arrays must already be
-  /// sorted in their permutation orders and deduplicated, `stats` must
-  /// match them, and every id must be interned in dictionary(). Marks the
-  /// store frozen at `epoch`. Replaces any previous triple data.
-  void AdoptFrozen(std::vector<EncodedTriple> spo,
-                   std::vector<EncodedTriple> pos,
-                   std::vector<EncodedTriple> osp,
-                   std::unordered_map<TermId, PredicateStats> stats,
-                   uint64_t epoch);
-
-  /// Zero-copy variant: the spans alias externally owned memory (typically
-  /// a memory-mapped snapshot) which `keepalive` keeps valid; the store
-  /// holds the keepalive until destruction or the first mutation (which
-  /// materializes owned copies first). Same preconditions as AdoptFrozen.
+  /// Installs a fully built frozen image whose spans alias externally
+  /// owned memory (typically a memory-mapped snapshot) which `keepalive`
+  /// keeps valid; the store holds the keepalive until destruction or the
+  /// first mutation (which materializes owned copies first). The three
+  /// arrays must already be sorted in their permutation orders and
+  /// deduplicated, `stats` must match them, `directory` must describe
+  /// `spo` (the loader builds it during its sort validation), and every
+  /// id must be interned in dictionary(). Marks the store frozen at
+  /// `epoch`. Replaces any previous triple data.
   void AdoptFrozenView(std::span<const EncodedTriple> spo,
                        std::span<const EncodedTriple> pos,
                        std::span<const EncodedTriple> osp,
                        std::unordered_map<TermId, PredicateStats> stats,
-                       uint64_t epoch, std::shared_ptr<const void> keepalive);
+                       SubjectDirectory directory, uint64_t epoch,
+                       std::shared_ptr<const void> keepalive);
 
   /// Compressed-format adoption: the three permutations arrive as
   /// CompressedPermutation objects whose skip/payload storage is either
   /// owned or borrowed from `keepalive` (which may be null when all three
   /// own their storage). storage/ validates every block before calling
-  /// this. Same frozen-at-epoch semantics as AdoptFrozen.
+  /// this (and builds `directory` while decoding the SPO blocks). Same
+  /// frozen-at-epoch semantics as AdoptFrozenView.
   void AdoptFrozenCompressed(CompressedPermutation spo,
                              CompressedPermutation pos,
                              CompressedPermutation osp,
                              std::unordered_map<TermId, PredicateStats> stats,
-                             uint64_t epoch,
+                             SubjectDirectory directory, uint64_t epoch,
                              std::shared_ptr<const void> keepalive);
 
   /// True while the indexes borrow a loaded snapshot image — mapped file
@@ -286,7 +289,15 @@ class TripleStore {
   }
 
   /// The whole permutation as an IndexRange (merge joins, full scans).
-  IndexRange PermutationRange(Perm perm) const;
+  /// When `directory` is non-null it receives the subject directory whose
+  /// positions index the returned range, resolved against the same chain:
+  /// the frozen base's for kSpo, or on a live store the compacted base's
+  /// while the chain has no delta layers. It is set to null for other
+  /// permutations, for merges over delta layers (those probes keep
+  /// galloping) and for bases without a directory. The directory lives as
+  /// long as the returned range (merged ranges pin their chain).
+  IndexRange PermutationRange(
+      Perm perm, const SubjectDirectory** directory = nullptr) const;
 
   /// Distinct predicate ids appearing on triples with subject `s`.
   std::vector<TermId> PredicatesOfSubject(TermId s) const;
@@ -391,10 +402,6 @@ class TripleStore {
   /// PermutationRange over the store's own frozen arrays/blocks, ignoring
   /// any epoch chain (the chain's base when EpochChain::base is null).
   IndexRange ClassicPermutationRange(Perm perm) const;
-  /// Live read path: the whole permutation as a base-plus-deltas view of
-  /// the calling thread's pinned chain (single-source fast path when the
-  /// chain has no layers and the store's own arrays are the base).
-  IndexRange LivePermutationRange(Perm perm) const;
   /// The chain reads on this thread should use (see live_chain()).
   std::shared_ptr<const EpochChain> PinnedChain() const;
   /// size() of the store's own frozen arrays (the chain-base size).
@@ -423,6 +430,8 @@ class TripleStore {
   std::unique_ptr<CompressedPermutation> pos_blocks_;
   std::unique_ptr<CompressedPermutation> osp_blocks_;
   std::shared_ptr<const void> keepalive_;
+  // Subject runs of the SPO permutation above (raw or compressed).
+  SubjectDirectory directory_;
   std::unordered_map<TermId, PredicateStats> stats_;
   IndexFormat format_ = IndexFormat::kRaw;
   bool frozen_ = false;

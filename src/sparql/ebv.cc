@@ -28,9 +28,8 @@ CellCompare CompareCells(const rdf::TripleStore& store, const Cell& a,
       *v = c.number;
       return true;
     }
-    const rdf::Term& t = store.term(c.term);
-    if (t.is_numeric_literal()) {
-      *v = t.AsDouble();
+    if (store.term(c.term).is_numeric_literal()) {
+      *v = store.dictionary().numeric(c.term);
       return true;
     }
     return false;
@@ -75,11 +74,6 @@ int OrderCells(const rdf::TripleStore& store, const Cell& a, const Cell& b) {
   return 0;
 }
 
-namespace {
-
-/// EBV of a term: boolean literals by value, numeric literals non-zero,
-/// everything else by non-emptiness of the lexical form. Shared by the
-/// constant and bound-variable cases so the two agree on every term.
 Ebv TermEbv(const rdf::Term& t) {
   if (t.literal_type == rdf::LiteralType::kBoolean) {
     return t.value == "true" ? Ebv::kTrue : Ebv::kFalse;
@@ -90,7 +84,59 @@ Ebv TermEbv(const rdf::Term& t) {
   return t.value.empty() ? Ebv::kFalse : Ebv::kTrue;
 }
 
-}  // namespace
+Ebv EvalCompare(const rdf::TripleStore& store, CompareOp op, const Cell& lhs,
+                const rdf::Term* lhs_missing, const Cell& rhs,
+                const rdf::Term* rhs_missing) {
+  if (lhs_missing != nullptr || rhs_missing != nullptr) {
+    const Cell& other = lhs_missing != nullptr ? rhs : lhs;
+    if (other.is_null()) return Ebv::kError;
+    if (op == CompareOp::kEq) return Ebv::kFalse;
+    if (op == CompareOp::kNe) return Ebv::kTrue;
+    // Ordering against a missing term: compare lexically with its string
+    // form.
+    if (other.is_number()) return Ebv::kError;
+    const std::string& other_str = store.term(other.term).value;
+    // c is "lhs vs rhs" ordering.
+    int c = lhs_missing != nullptr ? lhs_missing->value.compare(other_str)
+                                   : other_str.compare(rhs_missing->value);
+    switch (op) {
+      case CompareOp::kLt:
+        return c < 0 ? Ebv::kTrue : Ebv::kFalse;
+      case CompareOp::kLe:
+        return c <= 0 ? Ebv::kTrue : Ebv::kFalse;
+      case CompareOp::kGt:
+        return c > 0 ? Ebv::kTrue : Ebv::kFalse;
+      case CompareOp::kGe:
+        return c >= 0 ? Ebv::kTrue : Ebv::kFalse;
+      default:
+        return Ebv::kError;
+    }
+  }
+  CellCompare cc = CompareCells(store, lhs, rhs);
+  if (!cc.comparable) return Ebv::kError;
+  bool r = false;
+  switch (op) {
+    case CompareOp::kEq:
+      r = cc.cmp == 0;
+      break;
+    case CompareOp::kNe:
+      r = cc.cmp != 0;
+      break;
+    case CompareOp::kLt:
+      r = cc.cmp < 0;
+      break;
+    case CompareOp::kLe:
+      r = cc.cmp <= 0;
+      break;
+    case CompareOp::kGt:
+      r = cc.cmp > 0;
+      break;
+    case CompareOp::kGe:
+      r = cc.cmp >= 0;
+      break;
+  }
+  return r ? Ebv::kTrue : Ebv::kFalse;
+}
 
 Ebv EvalExpr(const rdf::TripleStore& store, const Expr& e,
              const VarLookup& lookup) {
@@ -122,65 +168,17 @@ Ebv EvalExpr(const rdf::TripleStore& store, const Expr& e,
       };
       Cell lhs = operand(*e.children[0]);
       Cell rhs = operand(*e.children[1]);
-      // Special-case a constant term missing from the dictionary: equal to
-      // nothing, unequal to everything bound.
-      auto missing_const = [&](const Expr& child, const Cell& cell) {
+      // A non-numeric constant that resolved to null is missing from the
+      // dictionary.
+      auto missing_const = [](const Expr& child,
+                              const Cell& cell) -> const rdf::Term* {
         return child.kind == ExprKind::kConstant &&
-               !child.constant.is_numeric_literal() && cell.is_null();
+                       !child.constant.is_numeric_literal() && cell.is_null()
+                   ? &child.constant
+                   : nullptr;
       };
-      bool lhs_missing = missing_const(*e.children[0], lhs);
-      bool rhs_missing = missing_const(*e.children[1], rhs);
-      if (lhs_missing || rhs_missing) {
-        const Cell& other = lhs_missing ? rhs : lhs;
-        if (other.is_null()) return Ebv::kError;
-        if (e.op == CompareOp::kEq) return Ebv::kFalse;
-        if (e.op == CompareOp::kNe) return Ebv::kTrue;
-        // Ordering against a missing term: compare lexically with its
-        // string form.
-        const Expr& cexpr = lhs_missing ? *e.children[0] : *e.children[1];
-        std::string other_str;
-        if (other.is_number()) return Ebv::kError;
-        other_str = store.term(other.term).value;
-        int c = lhs_missing ? cexpr.constant.value.compare(other_str)
-                            : other_str.compare(cexpr.constant.value);
-        // c is "lhs vs rhs" ordering.
-        switch (e.op) {
-          case CompareOp::kLt:
-            return c < 0 ? Ebv::kTrue : Ebv::kFalse;
-          case CompareOp::kLe:
-            return c <= 0 ? Ebv::kTrue : Ebv::kFalse;
-          case CompareOp::kGt:
-            return c > 0 ? Ebv::kTrue : Ebv::kFalse;
-          case CompareOp::kGe:
-            return c >= 0 ? Ebv::kTrue : Ebv::kFalse;
-          default:
-            return Ebv::kError;
-        }
-      }
-      CellCompare cc = CompareCells(store, lhs, rhs);
-      if (!cc.comparable) return Ebv::kError;
-      bool r = false;
-      switch (e.op) {
-        case CompareOp::kEq:
-          r = cc.cmp == 0;
-          break;
-        case CompareOp::kNe:
-          r = cc.cmp != 0;
-          break;
-        case CompareOp::kLt:
-          r = cc.cmp < 0;
-          break;
-        case CompareOp::kLe:
-          r = cc.cmp <= 0;
-          break;
-        case CompareOp::kGt:
-          r = cc.cmp > 0;
-          break;
-        case CompareOp::kGe:
-          r = cc.cmp >= 0;
-          break;
-      }
-      return r ? Ebv::kTrue : Ebv::kFalse;
+      return EvalCompare(store, e.op, lhs, missing_const(*e.children[0], lhs),
+                         rhs, missing_const(*e.children[1], rhs));
     }
     case ExprKind::kAnd: {
       Ebv acc = Ebv::kTrue;

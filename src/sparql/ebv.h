@@ -52,6 +52,20 @@ class VarLookup {
   Cell (*fn_)(const void*, const std::string&);
 };
 
+/// EBV of a term: boolean literals by value, numeric literals non-zero,
+/// everything else by non-emptiness of the lexical form. Shared by the
+/// constant and bound-variable cases so the two agree on every term.
+Ebv TermEbv(const rdf::Term& t);
+
+/// The comparison step of EvalExpr on resolved operands. `lhs_missing` /
+/// `rhs_missing` are non-null for a non-numeric constant absent from the
+/// dictionary (whose cell is then null): such a constant equals nothing,
+/// differs from everything bound, and orders lexically against a bound
+/// term. CompiledFilter runs its general comparisons through this too.
+Ebv EvalCompare(const rdf::TripleStore& store, CompareOp op, const Cell& lhs,
+                const rdf::Term* lhs_missing, const Cell& rhs,
+                const rdf::Term* rhs_missing);
+
 /// Evaluates a filter expression against the bindings visible through
 /// `lookup`. Bound-variable EBV follows the same rules as constant EBV:
 /// boolean literals by value, numeric literals non-zero, any other term

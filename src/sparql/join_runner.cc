@@ -1,8 +1,5 @@
 #include "sparql/join_runner.h"
 
-#include <chrono>
-
-#include "sparql/ebv.h"
 #include "util/failpoint.h"
 
 namespace re2xolap::sparql {
@@ -10,28 +7,6 @@ namespace re2xolap::sparql {
 namespace {
 
 constexpr uint64_t kGuardCheckInterval = 8192;
-
-/// Accumulates inclusive wall time into `*acc` over the guard's lifetime;
-/// a null target disables the clock reads entirely.
-class TimeGuard {
- public:
-  explicit TimeGuard(double* acc) : acc_(acc) {
-    if (acc_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~TimeGuard() {
-    if (acc_ != nullptr) {
-      *acc_ += std::chrono::duration<double, std::micro>(
-                   std::chrono::steady_clock::now() - start_)
-                   .count();
-    }
-  }
-  TimeGuard(const TimeGuard&) = delete;
-  TimeGuard& operator=(const TimeGuard&) = delete;
-
- private:
-  double* acc_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace
 
@@ -77,6 +52,7 @@ util::Status JoinRunner::Run(RowSink on_row, uint64_t row_cap) {
   row_cap_ = row_cap;
   rows_emitted_ = 0;
   emitted_ = 0;
+  sink_micros_ = 0;
   stopped_ = false;
   if (profiling_) {
     step_prof_.assign(plan_.steps.size(), StepProf{});
@@ -85,6 +61,31 @@ util::Status JoinRunner::Run(RowSink on_row, uint64_t row_cap) {
   timer_.Restart();
   util::Status st = Step(0, on_row);
   FlushStats();
+  return st;
+}
+
+util::Status JoinRunner::RunBlocks(BlockSink on_block) {
+  BindingBlock block;
+  block.Reset(plan_.slot_count, BindingBlock::kDefaultCapacity);
+  std::vector<uint32_t> rows;
+  auto flush = [&] {
+    rows.resize(block.size());
+    for (uint32_t r = 0; r < rows.size(); ++r) rows[r] = r;
+    util::WallTimer sink_timer;
+    on_block(block, rows);
+    sink_micros_ += sink_timer.ElapsedMicros();
+    block.Clear();
+  };
+  util::Status st = Run(
+      [&](const std::vector<rdf::TermId>& bindings) {
+        block.AppendRow(bindings);
+        if (block.full()) flush();
+      },
+      /*row_cap=*/0);
+  if (st.ok() && !block.empty()) {
+    flush();
+    if (options_.guard != nullptr) st = options_.guard->CheckBudgets();
+  }
   return st;
 }
 
@@ -129,21 +130,17 @@ util::Status JoinRunner::CheckGuard() {
   return util::Status::OK();
 }
 
-Cell JoinRunner::CellAtSlot(int slot) const {
-  if (slot < 0 || bindings_[slot] == rdf::kInvalidTermId) {
-    return Cell::Null();
-  }
-  return Cell::OfTerm(bindings_[slot]);
+bool JoinRunner::Passes(const PlannedFilter& pf) const {
+  return pf.compiled.Eval(store_, [this](int slot) {
+    return bindings_[slot];
+  }) == Ebv::kTrue;
 }
 
 util::Status JoinRunner::ApplyFiltersAfter(size_t step, bool* pass) {
   *pass = true;
   for (const PlannedFilter& pf : plan_.filters) {
     if (pf.apply_after_step != step) continue;
-    Ebv v = EvalExpr(store_, *pf.expr, [this, &pf](const std::string& n) {
-      return CellAtSlot(pf.slots.SlotOf(n));
-    });
-    if (v != Ebv::kTrue) {
+    if (!Passes(pf)) {
       *pass = false;
       return util::Status::OK();
     }
@@ -161,7 +158,8 @@ util::Status JoinRunner::Step(size_t step, const RowSink& on_row) {
     return OptionalStep(0, on_row);
   }
   if (stopped_) return util::Status::OK();
-  TimeGuard time_guard(timing_ ? &step_prof_[step].micros : nullptr);
+  StepTimeGuard time_guard(timing_ ? &step_prof_[step].micros : nullptr,
+                           &sink_micros_);
   if (profiling_) ++step_prof_[step].rows_in;
   const PhysicalPattern& pp = plan_.steps[step];
   rdf::TriplePattern q;
@@ -245,10 +243,7 @@ util::Status JoinRunner::OptionalStep(size_t block, const RowSink& on_row) {
   if (block == plan_.optionals.size()) {
     // Filters that could not be attached to the mandatory join.
     for (const PlannedFilter& pf : plan_.post_optional_filters) {
-      Ebv v = EvalExpr(store_, *pf.expr, [this, &pf](const std::string& n) {
-        return CellAtSlot(pf.slots.SlotOf(n));
-      });
-      if (v != Ebv::kTrue) return util::Status::OK();
+      if (!Passes(pf)) return util::Status::OK();
     }
     ++emitted_;
     on_row(bindings_);
@@ -260,7 +255,8 @@ util::Status JoinRunner::OptionalStep(size_t block, const RowSink& on_row) {
     }
     return CheckGuard();
   }
-  TimeGuard time_guard(timing_ ? &opt_prof_[block].micros : nullptr);
+  StepTimeGuard time_guard(timing_ ? &opt_prof_[block].micros : nullptr,
+                           &sink_micros_);
   if (profiling_) ++opt_prof_[block].rows_in;
   const PlannedOptional& po = plan_.optionals[block];
   if (po.never_matches || po.steps.empty()) {

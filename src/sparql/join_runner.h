@@ -1,13 +1,16 @@
 #ifndef RE2XOLAP_SPARQL_JOIN_RUNNER_H_
 #define RE2XOLAP_SPARQL_JOIN_RUNNER_H_
 
+#include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "rdf/index_cursor.h"
 #include "rdf/triple_store.h"
+#include "sparql/binding_block.h"
 #include "sparql/executor.h"
 #include "sparql/plan.h"
 #include "util/status.h"
@@ -26,6 +29,36 @@ struct StepProf {
   uint64_t matched = 0;
   uint64_t scanned = 0;
   double micros = 0;  // inclusive wall time, timing mode only
+};
+
+/// Accumulates a join operator's wall time (microseconds) into `*acc`
+/// over the guard's lifetime, less the block-sink time the runner spent
+/// meanwhile (`*sink_micros`): aggregation is attributed to its own
+/// operator, not to the scans that feed it. A null `acc` disables the
+/// clock reads entirely.
+class StepTimeGuard {
+ public:
+  StepTimeGuard(double* acc, const double* sink_micros)
+      : acc_(acc), sink_micros_(sink_micros) {
+    if (acc_ == nullptr) return;
+    sink_start_ = *sink_micros_;
+    start_ = std::chrono::steady_clock::now();
+  }
+  ~StepTimeGuard() {
+    if (acc_ == nullptr) return;
+    *acc_ += std::chrono::duration<double, std::micro>(
+                 std::chrono::steady_clock::now() - start_)
+                 .count() -
+             (*sink_micros_ - sink_start_);
+  }
+  StepTimeGuard(const StepTimeGuard&) = delete;
+  StepTimeGuard& operator=(const StepTimeGuard&) = delete;
+
+ private:
+  double* acc_;
+  const double* sink_micros_;
+  double sink_start_ = 0;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Non-owning, non-allocating reference to a complete-binding callback
@@ -51,6 +84,32 @@ class RowSink {
   void (*fn_)(const void*, const std::vector<rdf::TermId>&);
 };
 
+/// Non-owning, non-allocating reference to a block-of-bindings callback
+/// (`const BindingBlock&, std::span<const uint32_t> rows -> void`): `rows`
+/// lists, in ascending order, the rows of the block that are complete
+/// bindings. The referenced callable must outlive the RunBlocks call.
+class BlockSink {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, BlockSink>>>
+  BlockSink(const F& f)  // NOLINT(runtime/explicit)
+      : obj_(&f),
+        fn_([](const void* obj, const BindingBlock& block,
+               std::span<const uint32_t> rows) {
+          (*static_cast<const F*>(obj))(block, rows);
+        }) {}
+
+  void operator()(const BindingBlock& block,
+                  std::span<const uint32_t> rows) const {
+    fn_(obj_, block, rows);
+  }
+
+ private:
+  const void* obj_;
+  void (*fn_)(const void*, const BindingBlock&, std::span<const uint32_t>);
+};
+
 /// Short display form of a term for operator labels: IRIs by local name,
 /// literals quoted.
 std::string TermShortName(const rdf::TripleStore& store, rdf::TermId id);
@@ -74,6 +133,12 @@ class JoinExecutor {
   /// are flushed into the ExecStats sink on both success and error paths.
   virtual util::Status Run(RowSink on_row, uint64_t row_cap) = 0;
 
+  /// Runs the join to completion and hands every complete binding to
+  /// `on_block`, a block at a time, in the order Run would emit them
+  /// (aggregation consumes the join this way). Budgets are rechecked
+  /// after every block.
+  virtual util::Status RunBlocks(BlockSink on_block) = 0;
+
   virtual const std::vector<StepProf>& step_prof() const = 0;
   virtual const std::vector<StepProf>& opt_prof() const = 0;
   virtual uint64_t emitted() const = 0;
@@ -94,6 +159,9 @@ class JoinRunner : public JoinExecutor {
              const ExecOptions& options, ExecStats* stats);
 
   util::Status Run(RowSink on_row, uint64_t row_cap = 0) override;
+  /// Buffers the emitted rows into a BindingBlock and flushes it whenever
+  /// it fills, so the row-at-a-time core feeds the same block consumers.
+  util::Status RunBlocks(BlockSink on_block) override;
 
   const std::vector<StepProf>& step_prof() const override {
     return step_prof_;
@@ -108,7 +176,7 @@ class JoinRunner : public JoinExecutor {
  private:
   void FlushStats();
   util::Status CheckGuard();
-  Cell CellAtSlot(int slot) const;
+  bool Passes(const PlannedFilter& pf) const;
   util::Status ApplyFiltersAfter(size_t step, bool* pass);
   util::Status Step(size_t step, const RowSink& on_row);
   util::Status OptionalStep(size_t block, const RowSink& on_row);
@@ -129,6 +197,7 @@ class JoinRunner : public JoinExecutor {
   std::vector<std::vector<rdf::IndexCursor>> opt_cursors_;
   std::vector<StepProf> step_prof_;
   std::vector<StepProf> opt_prof_;
+  double sink_micros_ = 0;  // time spent in RunBlocks' block sink
   util::WallTimer timer_;
   uint64_t ops_ = 0;
   uint64_t row_cap_ = 0;

@@ -8,6 +8,7 @@
 
 #include "rdf/triple_store.h"
 #include "sparql/ast.h"
+#include "sparql/compiled_filter.h"
 #include "util/result.h"
 
 namespace re2xolap::sparql {
@@ -24,40 +25,17 @@ struct PhysicalPattern {
   int o_slot = -1;
 };
 
-/// Plan-time resolution of a filter expression's variable names to binding
-/// slots, so runtime evaluation never hashes a string per row. The keys
-/// point at the `Expr::var.name` strings of the very expression tree the
-/// plan holds alive (filters are evaluated from the plan, not the query),
-/// so the common lookup is a pointer compare; the value compare is a
-/// fallback for callers that pass an equal string from elsewhere.
-class FilterSlots {
- public:
-  void Add(const std::string* name, int slot) {
-    entries_.emplace_back(name, slot);
-  }
-  int SlotOf(const std::string& name) const {
-    for (const auto& [key, slot] : entries_) {
-      if (key == &name || *key == name) return slot;
-    }
-    return -1;
-  }
-  size_t size() const { return entries_.size(); }
-  const std::vector<std::pair<const std::string*, int>>& entries() const {
-    return entries_;
-  }
-
- private:
-  std::vector<std::pair<const std::string*, int>> entries_;
-};
-
 /// A filter expression plus the index of the plan step after which all of
 /// its variables are bound (so it can run as early as possible), and its
 /// variables pre-resolved to slots (`slots` references names inside
-/// `expr`, which the plan keeps alive).
+/// `expr`, which the plan keeps alive), and its compiled form — slots and
+/// constant term ids resolved at plan time — which the join runners
+/// evaluate per row.
 struct PlannedFilter {
   ExprPtr expr;
   size_t apply_after_step = 0;
   FilterSlots slots;
+  CompiledFilter compiled;
 };
 
 /// One planned OPTIONAL block: its lowered patterns in parse order.

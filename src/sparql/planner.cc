@@ -221,23 +221,24 @@ util::Result<Plan> PlanQuery(const rdf::TripleStore& store,
         }
       }
       if (all_bound) {
-        plan.filters.push_back(PlannedFilter{f, step, {}});
+        plan.filters.push_back(PlannedFilter{f, step, {}, {}});
         found_step = true;
       }
     }
     if (!found_step) {
       // References variables only OPTIONAL blocks can bind (or unbound
       // variables): evaluate after the optional extension.
-      plan.post_optional_filters.push_back(PlannedFilter{f, 0, {}});
+      plan.post_optional_filters.push_back(PlannedFilter{f, 0, {}, {}});
     }
   }
   // Slot resolution happens last so filters over projection-only /
   // group-by variables (slots assigned above) resolve too.
-  for (PlannedFilter& pf : plan.filters) {
-    ResolveFilterSlots(plan, *pf.expr, &pf.slots);
-  }
-  for (PlannedFilter& pf : plan.post_optional_filters) {
-    ResolveFilterSlots(plan, *pf.expr, &pf.slots);
+  for (std::vector<PlannedFilter>* list :
+       {&plan.filters, &plan.post_optional_filters}) {
+    for (PlannedFilter& pf : *list) {
+      ResolveFilterSlots(plan, *pf.expr, &pf.slots);
+      pf.compiled = CompiledFilter::Compile(store, *pf.expr, pf.slots);
+    }
   }
   return plan;
 }

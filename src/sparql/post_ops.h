@@ -2,13 +2,12 @@
 #define RE2XOLAP_SPARQL_POST_OPS_H_
 
 #include <cstdint>
-#include <limits>
-#include <set>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "rdf/triple_store.h"
 #include "sparql/ast.h"
+#include "sparql/binding_block.h"
 #include "sparql/result_table.h"
 #include "util/exec_guard.h"
 #include "util/result.h"
@@ -33,33 +32,15 @@ struct PostOpProf {
   double millis;
 };
 
-/// Running state of one aggregate.
-struct AggState {
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  uint64_t count = 0;
-  std::set<rdf::TermId> distinct_terms;  // only used by COUNT(DISTINCT ?v)
-
-  void Update(double v);
-  void UpdateDistinct(rdf::TermId id) { distinct_terms.insert(id); }
-  double Finish(AggFunc f) const;
-};
-
-/// FNV-1a over a group-key vector of term ids.
-struct TermVecHash {
-  size_t operator()(const std::vector<rdf::TermId>& v) const {
-    size_t h = 14695981039346656037ULL;
-    for (rdf::TermId id : v) {
-      h ^= id;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-/// Hash-grouping aggregation: accumulates join bindings into per-group
-/// aggregate states, then emits one output row per group.
+/// Hash-grouping aggregation, fed one BindingBlock of complete join
+/// bindings at a time (the volcano runner buffers its rows into blocks, so
+/// both join cores share this one aggregation path). Groups live in a
+/// flat open-addressing table over packed keys — group g's key is
+/// `key_width` consecutive term ids in one array — and aggregate states
+/// are struct-of-arrays columns indexed by group id, so accumulating a row
+/// allocates nothing. Numeric values come from the dictionary's numeric
+/// column. COUNT(DISTINCT) keeps one flat set of (group, term) pairs per
+/// aggregate. Groups are emitted in first-seen order.
 class GroupAggregator {
  public:
   /// `items` / `item_slots` are the projected columns and their binding
@@ -74,8 +55,8 @@ class GroupAggregator {
                   std::vector<int> group_slots,
                   const util::ExecGuard* guard = nullptr);
 
-  /// Folds one complete join binding into its group.
-  void Accumulate(const std::vector<rdf::TermId>& bindings);
+  /// Folds rows `rows` (ascending indices) of `block` into their groups.
+  void Accumulate(const BindingBlock& block, std::span<const uint32_t> rows);
 
   /// Emits one row per group into `table` (group-by columns resolved via
   /// `group_by` order). Polls the guard at entry and every few hundred
@@ -83,20 +64,55 @@ class GroupAggregator {
   util::Result<size_t> Emit(const std::vector<Variable>& group_by,
                             ResultTable* table);
 
-  size_t group_count() const { return groups_.size(); }
+  size_t group_count() const { return group_count_; }
 
  private:
-  struct Group {
-    std::vector<AggState> aggs;
+  /// State columns of one aggregate item, indexed by group id. Only the
+  /// columns its function reads are grown: `value` is the running sum
+  /// (SUM, AVG) or extreme (MIN, MAX); `count` counts folded values (and
+  /// distinct terms for COUNT(DISTINCT)).
+  struct AggColumn {
+    AggFunc func = AggFunc::kCount;
+    int slot = -1;
+    int source = -1;  // numeric_sources_ index (value-reading aggregates)
+    bool count_star = false;
+    bool distinct = false;
+    bool has_value = false;
+    bool has_count = false;
+    double init = 0;
+    std::vector<double> value;
+    std::vector<uint64_t> count;
+    // COUNT(DISTINCT): open-addressing set of (group << 32 | term) + 1,
+    // 0 = empty slot.
+    std::vector<uint64_t> seen;
+    size_t seen_size = 0;
+  };
+
+  /// Group id of `key`, creating the group when new.
+  uint32_t GroupOf(const rdf::TermId* key);
+  uint32_t NewGroup(const rdf::TermId* key);
+  void GrowTable();
+  /// Inserts (group, term) into `col`'s distinct set; true when new.
+  bool InsertDistinct(AggColumn* col, uint32_t group, rdf::TermId term);
+
+  /// One aggregated variable's numeric values for the current block.
+  struct NumericSource {
+    int slot = -1;
+    std::vector<double> values;  // per row of the block
   };
 
   const rdf::TripleStore& store_;
   const std::vector<SelectItem>& items_;
-  const std::vector<int>& item_slots_;
   std::vector<int> group_slots_;
   const util::ExecGuard* guard_;
-  size_t n_aggs_ = 0;
-  std::unordered_map<std::vector<rdf::TermId>, Group, TermVecHash> groups_;
+  std::vector<AggColumn> aggs_;  // one per aggregate item, in item order
+  std::vector<NumericSource> numeric_sources_;
+  size_t group_count_ = 0;
+  size_t state_bytes_ = 0;        // per-group state bytes (budget charge)
+  std::vector<rdf::TermId> keys_;  // packed group keys, first-seen order
+  std::vector<uint32_t> table_;    // group id + 1; 0 = empty slot
+  std::vector<uint32_t> group_ids_;  // per-block scratch
+  std::vector<rdf::TermId> key_buf_;  // per-row scratch key
 };
 
 /// HAVING: keeps rows whose post-aggregation filters all evaluate to true

@@ -1,7 +1,6 @@
 #include "sparql/vectorized_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "sparql/ebv.h"
@@ -14,6 +13,12 @@ namespace {
 // Same amortization interval as the volcano runner, counted in scanned
 // index entries, so both executors poll deadlines at the same granularity.
 constexpr uint64_t kGuardCheckInterval = 8192;
+
+// Subject-led probes: how many rows ahead the SPO run is prefetched (the
+// directory entry twice as far), and the longest subject run searched
+// linearly instead of by galloping.
+constexpr size_t kPrefetchRows = 8;
+constexpr uint64_t kLinearRun = 32;
 
 using rdf::kMaxTermId;
 using rdf::Perm;
@@ -55,26 +60,13 @@ inline int CompareKeys(const ProbeKey& a, const ProbeKey& b) {
   return 0;
 }
 
-/// Accumulates inclusive wall time into `*acc`; null disables the clock.
-class TimeGuard {
- public:
-  explicit TimeGuard(double* acc) : acc_(acc) {
-    if (acc_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~TimeGuard() {
-    if (acc_ != nullptr) {
-      *acc_ += std::chrono::duration<double, std::micro>(
-                   std::chrono::steady_clock::now() - start_)
-                   .count();
-    }
-  }
-  TimeGuard(const TimeGuard&) = delete;
-  TimeGuard& operator=(const TimeGuard&) = delete;
-
- private:
-  double* acc_;
-  std::chrono::steady_clock::time_point start_;
-};
+/// True when the compiled filter accepts row `r` of `block`.
+bool RowPasses(const rdf::TripleStore& store, const PlannedFilter& pf,
+               const BindingBlock& block, size_t r) {
+  return pf.compiled.Eval(store, [&](int slot) {
+    return block.at(r, slot);
+  }) == Ebv::kTrue;
+}
 
 }  // namespace
 
@@ -185,9 +177,23 @@ void VectorizedRunner::CompileSteps() {
 
 util::Status VectorizedRunner::Run(RowSink on_row, uint64_t row_cap) {
   on_row_ = &on_row;
+  util::Status st = RunPipeline(row_cap);
+  on_row_ = nullptr;
+  return st;
+}
+
+util::Status VectorizedRunner::RunBlocks(BlockSink on_block) {
+  on_block_ = &on_block;
+  util::Status st = RunPipeline(/*row_cap=*/0);
+  on_block_ = nullptr;
+  return st;
+}
+
+util::Status VectorizedRunner::RunPipeline(uint64_t row_cap) {
   row_cap_ = row_cap;
   rows_emitted_ = 0;
   emitted_ = 0;
+  sink_micros_ = 0;
   ops_ = 0;
   stopped_ = false;
   if (profiling_) {
@@ -217,9 +223,7 @@ util::Status VectorizedRunner::Run(RowSink on_row, uint64_t row_cap) {
   bool pass = true;
   for (const PlannedFilter& pf : plan_.filters) {
     if (pf.apply_after_step != 0) continue;
-    Ebv v = EvalExpr(store_, *pf.expr,
-                     [](const std::string&) { return Cell::Null(); });
-    if (v != Ebv::kTrue) {
+    if (!RowPasses(store_, pf, seed, 0)) {
       pass = false;
       break;
     }
@@ -227,7 +231,6 @@ util::Status VectorizedRunner::Run(RowSink on_row, uint64_t row_cap) {
   util::Status st = util::Status::OK();
   if (pass) st = RunStage(0, seed);
   FlushStats();
-  on_row_ = nullptr;
   return st;
 }
 
@@ -284,13 +287,7 @@ util::Status VectorizedRunner::ApplyStepFilters(size_t after_step,
     bool pass = true;
     for (const PlannedFilter& pf : plan_.filters) {
       if (pf.apply_after_step != after_step) continue;
-      Ebv v = EvalExpr(store_, *pf.expr, [&](const std::string& n) {
-        int slot = pf.slots.SlotOf(n);
-        rdf::TermId val =
-            slot < 0 ? rdf::kInvalidTermId : out->at(r, slot);
-        return val == rdf::kInvalidTermId ? Cell::Null() : Cell::OfTerm(val);
-      });
-      if (v != Ebv::kTrue) {
+      if (!RowPasses(store_, pf, *out, r)) {
         pass = false;
         break;
       }
@@ -306,12 +303,16 @@ util::Status VectorizedRunner::RunStage(size_t stage,
                                         const BindingBlock& in) {
   if (stopped_ || in.empty()) return util::Status::OK();
   if (stage == plan_.steps.size()) return RunOptionalStage(0, in);
-  TimeGuard time_guard(timing_ ? &step_prof_[stage].micros : nullptr);
+  StepTimeGuard time_guard(timing_ ? &step_prof_[stage].micros : nullptr,
+                           &sink_micros_);
   if (profiling_) step_prof_[stage].rows_in += in.size();
   CompiledStep& cs = steps_[stage];
 
   if (!cs.run_located) {
-    rdf::IndexRange index = store_.PermutationRange(cs.perm);
+    const bool subject_led = cs.perm == Perm::kSpo && cs.const_prefix == 0 &&
+                             !cs.key.empty();
+    rdf::IndexRange index =
+        store_.PermutationRange(cs.perm, subject_led ? &cs.directory : nullptr);
     cs.lo_base = {rdf::kInvalidTermId, rdf::kInvalidTermId,
                   rdf::kInvalidTermId};
     cs.hi_base = {kMaxTermId, kMaxTermId, kMaxTermId};
@@ -339,9 +340,33 @@ util::Status VectorizedRunner::RunStage(size_t stage,
   uint64_t prev_ub = 0;
   std::vector<uint32_t> sel;  // passing candidates when checks apply
 
+  // Subject-led probes over a raw base: the subjects of later rows are
+  // already in the input block, so their directory entries and SPO runs
+  // are requested ahead of use — these probes are otherwise dominated by
+  // cache misses on a permutation much larger than the cache.
+  const rdf::EncodedTriple* raw_base =
+      cs.directory != nullptr && !cs.run.compressed() && !cs.run.merged()
+          ? cs.run.raw().data()
+          : nullptr;
+  const rdf::TermId* subjects =
+      raw_base != nullptr ? in.column(cs.key[0].slot) : nullptr;
+
   // Fault-injection site at the executor's index-scan boundary.
   RE2X_FAILPOINT("store.scan");
   for (size_t r = 0; r < in.size() && !stopped_; ++r) {
+    if (subjects != nullptr) {
+      if (r + 2 * kPrefetchRows < in.size()) {
+        cs.directory->Prefetch(subjects[r + 2 * kPrefetchRows]);
+      }
+      if (r + kPrefetchRows < in.size()) {
+        // Every cache line of a short run (five 12-byte triples per line).
+        const auto [first, last] =
+            cs.directory->Run(subjects[r + kPrefetchRows]);
+        for (uint64_t t = first; t < last && t < first + kLinearRun; t += 5) {
+          __builtin_prefetch(raw_base + t);
+        }
+      }
+    }
     ProbeKey k;
     k.n = cs.key.size() - cs.const_prefix;
     for (size_t i = 0; i < k.n; ++i) {
@@ -369,16 +394,36 @@ util::Status VectorizedRunner::RunStage(size_t stage,
         SetComp(&lo, k.pos[i], k.val[i]);
         SetComp(&hi, k.pos[i], k.val[i]);
       }
-      if (prev_valid && cmp > 0) {
-        // Merge path: the block's probe keys advance in the run's sort
-        // order, so the next range starts at or after the previous one.
-        lb = cs.run.GallopLowerBound(prev_ub, lo, &cs.search_scratch);
+      if (cs.directory != nullptr) {
+        // Subject-led probe: the directory hands back the subject's run,
+        // and only a bound predicate (and object) is searched inside it.
+        const auto [first, last] = cs.directory->Run(k.val[0]);
+        if (k.n == 1) {
+          lb = first;
+          ub = last;
+        } else if (raw_base != nullptr && last - first <= kLinearRun) {
+          // A short raw run (one observation's handful of triples) is
+          // scanned linearly, inline.
+          lb = first;
+          while (lb < last && rdf::SpoLess()(raw_base[lb], lo)) ++lb;
+          ub = lb;
+          while (ub < last && !rdf::SpoLess()(hi, raw_base[ub])) ++ub;
+        } else {
+          lb = cs.run.GallopLowerBound(first, lo, &cs.search_scratch);
+          ub = cs.run.GallopUpperBound(lb, hi, &cs.search_scratch);
+        }
       } else {
-        // Out-of-order probe: binary search for the range start, then
-        // gallop to its end (ranges are small relative to the run).
-        lb = cs.run.LowerBound(lo, &cs.search_scratch);
+        if (prev_valid && cmp > 0) {
+          // Merge path: the block's probe keys advance in the run's sort
+          // order, so the next range starts at or after the previous one.
+          lb = cs.run.GallopLowerBound(prev_ub, lo, &cs.search_scratch);
+        } else {
+          // Out-of-order probe: binary search for the range start, then
+          // gallop to its end (ranges are small relative to the run).
+          lb = cs.run.LowerBound(lo, &cs.search_scratch);
+        }
+        ub = cs.run.GallopUpperBound(lb, hi, &cs.search_scratch);
       }
-      ub = cs.run.GallopUpperBound(lb, hi, &cs.search_scratch);
     }
     prev = k;
     prev_valid = true;
@@ -487,7 +532,8 @@ util::Status VectorizedRunner::RunOptionalStage(size_t block,
                                                 const BindingBlock& in) {
   if (stopped_ || in.empty()) return util::Status::OK();
   if (block == plan_.optionals.size()) return EmitBlock(in);
-  TimeGuard time_guard(timing_ ? &opt_prof_[block].micros : nullptr);
+  StepTimeGuard time_guard(timing_ ? &opt_prof_[block].micros : nullptr,
+                           &sink_micros_);
   if (profiling_) opt_prof_[block].rows_in += in.size();
   const PlannedOptional& po = plan_.optionals[block];
   if (po.never_matches || po.steps.empty()) {
@@ -608,21 +654,36 @@ util::Status VectorizedRunner::OptionalPattern(size_t block, size_t idx,
   return util::Status::OK();
 }
 
+bool VectorizedRunner::PassesPostOptional(const BindingBlock& in,
+                                          size_t r) const {
+  for (const PlannedFilter& pf : plan_.post_optional_filters) {
+    if (!RowPasses(store_, pf, in, r)) return false;
+  }
+  return true;
+}
+
 util::Status VectorizedRunner::EmitBlock(const BindingBlock& in) {
-  for (size_t r = 0; r < in.size() && !stopped_; ++r) {
-    bool pass = true;
-    for (const PlannedFilter& pf : plan_.post_optional_filters) {
-      Ebv v = EvalExpr(store_, *pf.expr, [&](const std::string& n) {
-        int slot = pf.slots.SlotOf(n);
-        rdf::TermId val = slot < 0 ? rdf::kInvalidTermId : in.at(r, slot);
-        return val == rdf::kInvalidTermId ? Cell::Null() : Cell::OfTerm(val);
-      });
-      if (v != Ebv::kTrue) {
-        pass = false;
-        break;
+  if (on_block_ != nullptr) {
+    // Block consumers (aggregation) take the surviving rows in one call;
+    // budgets they charge are rechecked once per block.
+    emit_rows_.clear();
+    for (size_t r = 0; r < in.size(); ++r) {
+      if (PassesPostOptional(in, r)) {
+        emit_rows_.push_back(static_cast<uint32_t>(r));
       }
     }
-    if (!pass) continue;
+    if (emit_rows_.empty()) return util::Status::OK();
+    emitted_ += emit_rows_.size();
+    util::WallTimer sink_timer;
+    (*on_block_)(in, emit_rows_);
+    sink_micros_ += sink_timer.ElapsedMicros();
+    if (options_.guard != nullptr) {
+      RE2X_RETURN_IF_ERROR(options_.guard->CheckBudgets());
+    }
+    return BumpOps(emit_rows_.size());
+  }
+  for (size_t r = 0; r < in.size() && !stopped_; ++r) {
+    if (!PassesPostOptional(in, r)) continue;
     in.ExtractRow(r, &row_buf_);
     ++emitted_;
     (*on_row_)(row_buf_);

@@ -31,8 +31,10 @@ namespace re2xolap::sparql {
 /// joins*: it advances a cursor through the constant-prefix run with a
 /// galloping lower_bound instead of re-searching from the start; rows
 /// whose keys regress fall back to a plain binary search within the run.
-/// Matched extensions are appended column-wise (broadcast of the parent
-/// row + bind-column writes from the sorted run).
+/// Subject-led SPO probes skip both: the store's subject directory hands
+/// back the subject's run in O(1). Matched extensions are appended
+/// column-wise (broadcast of the parent row + bind-column writes from the
+/// sorted run).
 ///
 /// Guard semantics match the volcano runner at batch granularity: the
 /// deadline/cancellation poll is amortized behind the same
@@ -50,6 +52,7 @@ class VectorizedRunner : public JoinExecutor {
                    const ExecOptions& options, ExecStats* stats);
 
   util::Status Run(RowSink on_row, uint64_t row_cap = 0) override;
+  util::Status RunBlocks(BlockSink on_block) override;
 
   const std::vector<StepProf>& step_prof() const override {
     return step_prof_;
@@ -96,6 +99,10 @@ class VectorizedRunner : public JoinExecutor {
     // seeks gallop over the skip keys (rdf/index_cursor.h).
     bool run_located = false;
     rdf::IndexRange run;
+    // Subject-led SPO probes with no constant prefix: the subject
+    // directory indexing `run`, which turns each probe's subject seek
+    // into one array read (null when the store has none for this range).
+    const rdf::SubjectDirectory* directory = nullptr;
     // Per-row lo/hi sentinel templates: constant prefix baked in,
     // remaining components 0 / kMaxTermId. Probes copy these and stamp
     // the row's varying key values into both.
@@ -109,6 +116,9 @@ class VectorizedRunner : public JoinExecutor {
   };
 
   void CompileSteps();
+  /// The shared body of Run / RunBlocks (exactly one sink is set).
+  util::Status RunPipeline(uint64_t row_cap);
+  bool PassesPostOptional(const BindingBlock& in, size_t r) const;
   util::Status BumpOps(uint64_t n);
   util::Status RunStage(size_t stage, const BindingBlock& in);
   util::Status ApplyStepFilters(size_t after_step, BindingBlock* out,
@@ -127,6 +137,7 @@ class VectorizedRunner : public JoinExecutor {
   const bool timing_;
 
   RowSink* on_row_ = nullptr;
+  BlockSink* on_block_ = nullptr;
   std::vector<CompiledStep> steps_;
   std::vector<BindingBlock> blocks_;      // per mandatory stage output
   std::vector<BindingBlock> opt_blocks_;  // per OPTIONAL stage output
@@ -139,9 +150,11 @@ class VectorizedRunner : public JoinExecutor {
   // scratch allocations out of the per-row loop.
   std::vector<std::vector<rdf::IndexCursor>> opt_cursors_;
   std::vector<rdf::TermId> row_buf_;      // emit-path row materialization
+  std::vector<uint32_t> emit_rows_;       // block-emit survivors
   std::vector<uint32_t> keep_;            // filter compaction scratch
   std::vector<StepProf> step_prof_;
   std::vector<StepProf> opt_prof_;
+  double sink_micros_ = 0;  // time spent in the RunBlocks sink
   util::WallTimer timer_;
   uint64_t ops_ = 0;
   uint64_t row_cap_ = 0;

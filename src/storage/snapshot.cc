@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "rdf/compressed_index.h"
 #include "rdf/delta_layer.h"
+#include "rdf/subject_directory.h"
 #include "storage/snapshot_io.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
@@ -444,16 +445,22 @@ util::Status DecodeVsg(const std::byte* data, size_t bytes,
 /// array sorted by `less` (binary search on an adopted image must behave
 /// exactly like on a freshly frozen store). Chunked so a pool can fan the
 /// scan across cores; the per-chunk boundary element overlaps its
-/// predecessor so sortedness across chunk seams is covered.
+/// predecessor so sortedness across chunk seams is covered. When
+/// `directory` is non-null (the SPO array) the same pass records every
+/// subject change into it, so the adopted store gets its subject
+/// directory without a second walk.
 template <typename Less>
 util::Status ValidateTriples(std::span<const EncodedTriple> triples,
                              uint64_t term_count, Less less,
                              const char* what, util::ThreadPool* pool,
-                             const util::ExecGuard* guard) {
+                             const util::ExecGuard* guard,
+                             rdf::SubjectDirectory* directory = nullptr) {
   RE2X_RETURN_IF_ERROR(GuardCheck(guard));
   obs::Span span("snapshot.load.validate");
   span.SetAttr("index", what);
-  constexpr size_t kChunk = 1 << 20;
+  // 256k triples per chunk: a 1.3M-triple image splits into enough
+  // chunks to keep four workers busy (1M-triple chunks left three idle).
+  constexpr size_t kChunk = 1 << 18;
   const size_t n = triples.size();
   const size_t chunks = (n + kChunk - 1) / kChunk;
   std::vector<util::Status> statuses(chunks);
@@ -461,9 +468,12 @@ util::Status ValidateTriples(std::span<const EncodedTriple> triples,
   // 32-bit values and only the failure path builds a Status.
   const uint32_t max_id =
       static_cast<uint32_t>(std::min<uint64_t>(term_count, UINT32_MAX));
+  const bool small_triples = n <= rdf::SubjectDirectory::kMaxTriples;
+  if (directory != nullptr && small_triples) directory->Reset(max_id + 1);
   RunParallel(pool, chunks, [&](size_t c) {
     const size_t begin = c * kChunk;
     const size_t end = std::min(n, begin + kChunk);
+    TermId prev_s = begin > 0 ? triples[begin - 1].s : rdf::kInvalidTermId;
     for (size_t i = begin; i < end; ++i) {
       const EncodedTriple& t = triples[i];
       if (t.s - 1 >= max_id || t.p - 1 >= max_id || t.o - 1 >= max_id)
@@ -478,9 +488,20 @@ util::Status ValidateTriples(std::span<const EncodedTriple> triples,
             " index is not strictly sorted at position " + std::to_string(i));
         return;
       }
+      if (directory != nullptr && t.s != prev_s) {
+        directory->MarkBoundary(prev_s, t.s, i);
+        prev_s = t.s;
+      }
     }
   });
   for (const util::Status& st : statuses) RE2X_RETURN_IF_ERROR(st);
+  if (directory != nullptr) {
+    if (small_triples && n > 0) {
+      directory->Finish(triples[n - 1].s, n);
+    } else {
+      *directory = rdf::SubjectDirectory();
+    }
+  }
   return util::Status::OK();
 }
 
@@ -673,7 +694,8 @@ util::Status ValidateCompressedPerm(const CompressedSectionView& view,
                                     rdf::Perm perm, uint64_t term_count,
                                     const char* what, util::ThreadPool* pool,
                                     const util::ExecGuard* guard,
-                                    rdf::CompressedPermutation* out) {
+                                    rdf::CompressedPermutation* out,
+                                    rdf::SubjectDirectory* directory) {
   RE2X_RETURN_IF_ERROR(GuardCheck(guard));
   obs::Span span("snapshot.load.validate");
   span.SetAttr("index", what);
@@ -704,6 +726,14 @@ util::Status ValidateCompressedPerm(const CompressedSectionView& view,
   std::vector<EncodedTriple> last(blocks);
   const uint32_t max_id =
       static_cast<uint32_t>(std::min<uint64_t>(term_count, UINT32_MAX));
+  // Subject changes inside a block are recorded while it is decoded; the
+  // change at a block's first triple is recorded by the serial seam pass
+  // below, which knows the previous block's last triple.
+  if (directory != nullptr && cp.size() <= rdf::SubjectDirectory::kMaxTriples) {
+    directory->Reset(max_id + 1);
+  } else {
+    directory = nullptr;
+  }
   RunParallel(pool, tasks, [&](size_t task) {
     std::vector<EncodedTriple> buf;
     const uint64_t begin = task * kBlocksPerTask;
@@ -724,6 +754,14 @@ util::Status ValidateCompressedPerm(const CompressedSectionView& view,
           return;
         }
       }
+      if (directory != nullptr) {
+        const uint64_t first_pos = cp.BlockFirstPos(b);
+        for (size_t j = 1; j < buf.size(); ++j) {
+          if (buf[j].s != buf[j - 1].s) {
+            directory->MarkBoundary(buf[j - 1].s, buf[j].s, first_pos + j);
+          }
+        }
+      }
       last[b] = buf.back();
     }
   });
@@ -736,6 +774,14 @@ util::Status ValidateCompressedPerm(const CompressedSectionView& view,
           " index is not strictly sorted across the boundary of block " +
           std::to_string(b));
     }
+  }
+  if (directory != nullptr && blocks > 0) {
+    directory->MarkBoundary(rdf::kInvalidTermId, cp.BlockFirstTriple(0).s, 0);
+    for (uint64_t b = 1; b < blocks; ++b) {
+      directory->MarkBoundary(last[b - 1].s, cp.BlockFirstTriple(b).s,
+                              cp.BlockFirstPos(b));
+    }
+    directory->Finish(last[blocks - 1].s, cp.size());
   }
   if (out != nullptr) *out = std::move(cp);
   return util::Status::OK();
@@ -1201,25 +1247,26 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
   // adoption. Raw-path state and compressed-path state are disjoint.
   std::span<const EncodedTriple> spo, pos, osp;
   rdf::CompressedPermutation spo_cp, pos_cp, osp_cp;
+  rdf::SubjectDirectory directory;
   if (compressed_trio) {
     struct PermSection {
       const SectionInfo* sec;
       rdf::Perm perm;
       const char* what;
       rdf::CompressedPermutation* out;
+      rdf::SubjectDirectory* directory;
     };
     const PermSection perms[3] = {
-        {spob_sec, rdf::Perm::kSpo, "spo_blocks", &spo_cp},
-        {posb_sec, rdf::Perm::kPos, "pos_blocks", &pos_cp},
-        {ospb_sec, rdf::Perm::kOsp, "osp_blocks", &osp_cp},
+        {spob_sec, rdf::Perm::kSpo, "spo_blocks", &spo_cp, &directory},
+        {posb_sec, rdf::Perm::kPos, "pos_blocks", &pos_cp, nullptr},
+        {ospb_sec, rdf::Perm::kOsp, "osp_blocks", &osp_cp, nullptr},
     };
     for (const PermSection& p : perms) {
       RE2X_ASSIGN_OR_RETURN(CompressedSectionView view,
                             CompressedView(base, *p.sec, info.triple_count));
-      RE2X_RETURN_IF_ERROR(ValidateCompressedPerm(view, p.perm,
-                                                  info.term_count, p.what,
-                                                  options.pool, options.guard,
-                                                  p.out));
+      RE2X_RETURN_IF_ERROR(ValidateCompressedPerm(
+          view, p.perm, info.term_count, p.what, options.pool, options.guard,
+          p.out, p.directory));
     }
   } else {
     auto triple_view = [&](const SectionInfo& s)
@@ -1243,7 +1290,8 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
     RE2X_ASSIGN_OR_RETURN(pos, triple_view(*pos_sec));
     RE2X_ASSIGN_OR_RETURN(osp, triple_view(*osp_sec));
     RE2X_RETURN_IF_ERROR(ValidateTriples(spo, info.term_count, SpoLess, "spo",
-                                         options.pool, options.guard));
+                                         options.pool, options.guard,
+                                         &directory));
     RE2X_RETURN_IF_ERROR(ValidateTriples(pos, info.term_count, PosLess, "pos",
                                          options.pool, options.guard));
     RE2X_RETURN_IF_ERROR(ValidateTriples(osp, info.term_count, OspLess, "osp",
@@ -1328,10 +1376,12 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
   if (compressed_trio) {
     out.store->AdoptFrozenCompressed(std::move(spo_cp), std::move(pos_cp),
                                      std::move(osp_cp), std::move(stats),
-                                     info.freeze_epoch, keepalive);
+                                     std::move(directory), info.freeze_epoch,
+                                     keepalive);
   } else {
     out.store->AdoptFrozenView(spo, pos, osp, std::move(stats),
-                               info.freeze_epoch, keepalive);
+                               std::move(directory), info.freeze_epoch,
+                               keepalive);
   }
   // Version 3: the adopted trio is the chain base — resume live mode and
   // republish the saved layers at the saved epoch (RestoreChain recomputes
@@ -1428,7 +1478,8 @@ util::Result<SnapshotInfo> VerifySnapshot(const std::string& path,
         CompressedSectionView view,
         CompressedView(buf->data(), *sec, info.triple_count));
     RE2X_RETURN_IF_ERROR(ValidateCompressedPerm(
-        view, p.perm, info.term_count, p.what, pool, nullptr, nullptr));
+        view, p.perm, info.term_count, p.what, pool, nullptr, nullptr,
+        nullptr));
   }
   return info;
 }

@@ -265,6 +265,7 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
     if (!st.ok()) return st;
   }
   base->stats = rdf::ComputePredicateStats(base->pos, merge_pool);
+  base->directory = rdf::SubjectDirectory::Build(base->spo);
 
   {
     std::lock_guard<std::mutex> lk(ingest_mu_);

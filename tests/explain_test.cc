@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "qb/datasets.h"
+#include "qb/generator.h"
 #include "sparql/explain.h"
 #include "tests/test_data.h"
 
@@ -109,6 +111,38 @@ TEST_F(ExplainTest, TimingModeMeasuresEveryOperator) {
   EXPECT_EQ(timed_scans, 3u);
   // The rendered report carries measured numbers, not placeholders.
   EXPECT_EQ(r->report.find(" * "), std::string::npos);
+}
+
+// The join hands its bindings to the aggregator a block at a time; the
+// fold is timed under the aggregate operator, not the join. With ~20
+// groups the final emit takes microseconds, so an aggregate node carrying
+// only the emit would stay far below the fold of ~200k rows.
+TEST(ExplainScaleTest, AggregateNodeCarriesTheFoldTime) {
+  auto ds = qb::Generate(qb::EurostatSpec(20000));
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  for (ExecutorKind kind :
+       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
+    ExplainOptions options;
+    options.exec.executor = kind;
+    auto r = ExplainAnalyzeText(
+        *ds->store,
+        "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", options);
+    ASSERT_TRUE(r.ok()) << r.status();
+    const obs::ProfileNode& root = r->stats.profile;
+    const obs::ProfileNode* join = nullptr;
+    const obs::ProfileNode* agg = nullptr;
+    for (const obs::ProfileNode& n : root.children) {
+      if (n.label.rfind("join", 0) == 0) join = &n;
+      if (n.label.rfind("aggregate", 0) == 0) agg = &n;
+    }
+    ASSERT_NE(join, nullptr);
+    ASSERT_NE(agg, nullptr);
+    EXPECT_EQ(agg->rows_in, ds->store->size());
+    EXPECT_EQ(agg->rows_in, join->rows_out);
+    EXPECT_LT(agg->rows_out, 40u);
+    EXPECT_GT(agg->millis, 0.05) << r->report;
+    EXPECT_LE(join->millis + agg->millis, root.millis + 0.01) << r->report;
+  }
 }
 
 TEST_F(ExplainTest, ProfileTreeMatchesExecStats) {

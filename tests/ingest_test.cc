@@ -228,7 +228,11 @@ TEST(IngestTest, ReadPinGivesEpochConsistentSnapshot) {
 // ---------------------------------------------------------------------------
 
 TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
-  LiveFixture fx;
+  // No background compaction: the merged view under test needs the deep
+  // chain the batches build (AutoCompactionTriggersOnDepth covers folds).
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  LiveFixture fx(config);
   std::mt19937 rng(20260809);
   std::uniform_int_distribution<int> id(0, 11);
 
@@ -504,9 +508,12 @@ TEST(SnapshotV3Test, LiveRoundTripIsBitIdentical) {
       storage::SaveSnapshot(path2, *loaded->store, nullptr, nullptr).ok());
   EXPECT_EQ(ReadAll(path1), ReadAll(path2));
 
-  // The reloaded store keeps serving and keeps ingesting.
+  // The reloaded store keeps serving and keeps ingesting. No background
+  // compaction, whose epoch bump would race the epoch check below.
   util::ThreadPool pool(2);
-  Ingestor ingestor(loaded->store.get(), &pool);
+  store::IngestorConfig no_auto_compact;
+  no_auto_compact.auto_compact = false;
+  Ingestor ingestor(loaded->store.get(), &pool, no_auto_compact);
   auto r = ingestor.IngestText(Line(7, 7, 7), IngestOp::kInsert, nullptr);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(loaded->store->freeze_epoch(), epoch + 1);

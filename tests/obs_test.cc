@@ -194,7 +194,9 @@ TEST(MetricsTest, HistogramBucketMath) {
     if (h.bucket_count(b) == 0) continue;
     ++hits;
     EXPECT_GE(Histogram::BucketUpperBound(b), v);
-    if (b > 1) EXPECT_LT(Histogram::BucketUpperBound(b - 1), v);
+    if (b > 1) {
+      EXPECT_LT(Histogram::BucketUpperBound(b - 1), v);
+    }
   }
   EXPECT_EQ(hits, 1);
 

@@ -227,6 +227,14 @@ struct ReolapCase {
   const char* v1;  // nullptr = size-1 input
 };
 
+// Without this, gtest prints the raw bytes of the struct, label pointers
+// included, and the discovered test names change from run to run.
+void PrintTo(const ReolapCase& c, std::ostream* os) {
+  *os << "{" << c.seed << ", " << c.v0;
+  if (c.v1) *os << ", " << c.v1;
+  *os << "}";
+}
+
 class ReolapPropertyTest : public ::testing::TestWithParam<ReolapCase> {};
 
 TEST_P(ReolapPropertyTest, SynthesisGuarantees) {

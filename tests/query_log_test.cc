@@ -538,7 +538,8 @@ TEST_F(QueryLogTest, IntrospectionReportAggregatesTheRing) {
   for (const char* expected :
        {"introspection report", "engine.execute", "cache hit 1/3",
         "-- error breakdown --", "-- top", "-- slow-query log --",
-        "-- thread pool --", "-- metrics registry --", "p999"}) {
+        "-- thread pool --", "-- metrics registry --", "p999",
+        "subject directory bytes: ", "numeric column bytes: "}) {
     EXPECT_NE(report.find(expected), std::string::npos)
         << "missing \"" << expected << "\" in:\n"
         << report;
