@@ -121,7 +121,7 @@ python3 - "$WORK/query_log.jsonl" <<'EOF'
 import json, sys
 
 required = {
-    "id", "op", "fingerprint", "epoch", "executor", "cache", "status",
+    "id", "op", "fingerprint", "epoch", "cache", "status",
     "degraded", "retries", "rows", "scanned", "bindings", "plan_ms",
     "exec_ms", "total_ms", "start_us",
 }

@@ -165,25 +165,20 @@ int main() {
           .Bool("identical_to_serial", rows == serial_rows);
     }
 
-    // --- Executor-mode delta: the same frontier, uncached, per core -----
-    // Raw per-query execution of the Disaggregate frontier under each
-    // join core; no engine cache involved, so this is the pure executor
-    // cost of the preview workload.
-    for (sparql::ExecutorKind kind :
-         {sparql::ExecutorKind::kVolcano, sparql::ExecutorKind::kVectorized}) {
-      sparql::ExecOptions mode_exec = exec;
-      mode_exec.executor = kind;
+    // --- Uncached execution of the same frontier ------------------------
+    // Raw per-query execution of the Disaggregate frontier; no engine
+    // cache involved, so this is the pure executor cost of the preview
+    // workload.
+    {
       size_t rows = 0;
       util::WallTimer timer;
       for (const auto& state : states) {
-        auto table = sparql::Execute(env.store(), state.query, mode_exec);
+        auto table = sparql::Execute(env.store(), state.query, exec);
         if (table.ok()) rows += table->row_count();
       }
       log.AddRecord()
           .Str("dataset", name)
-          .Str("mode", "executor_delta_uncached")
-          .Str("executor",
-               kind == sparql::ExecutorKind::kVolcano ? "volcano" : "vectorized")
+          .Str("mode", "uncached_execute")
           .Int("refinements", static_cast<long long>(states.size()))
           .Num("eval_ms", timer.ElapsedMillis())
           .Int("result_rows", static_cast<long long>(rows));

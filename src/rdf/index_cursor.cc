@@ -1,7 +1,6 @@
 #include "rdf/index_cursor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "rdf/compressed_index.h"
@@ -37,12 +36,13 @@ obs::Counter& SkipStepsCounter() {
 // pins the block it is reading, so eviction never invalidates a span a
 // caller still holds. Per-thread and lock-free, like t_point_scratch.
 //
-// Capacity: RE2XOLAP_BLOCK_CACHE_SLOTS (0 disables the pool entirely;
-// default 2048 slots = at most ~24 MiB of decoded triples per thread,
-// and only when that many distinct blocks are actually probed).
+// Capacity: kSlots = 2048 slots, at most ~24 MiB of decoded triples per
+// thread, and only when that many distinct blocks are actually probed.
 class BlockPool {
  public:
   static constexpr uint32_t kWays = 4;
+  static constexpr uint64_t kSlots = 2048;
+  static constexpr uint64_t kSets = kSlots / kWays;  // a power of two
 
   static BlockPool& Get() {
     thread_local BlockPool pool;
@@ -51,7 +51,6 @@ class BlockPool {
 
   std::shared_ptr<const std::vector<EncodedTriple>> Lookup(uint64_t gen,
                                                            uint64_t block) {
-    if (sets_ == 0) return nullptr;
     Entry* set = &slots_[SetOf(gen, block) * kWays];
     for (uint32_t w = 0; w < kWays; ++w) {
       if (set[w].generation == gen && set[w].block == block) {
@@ -63,7 +62,6 @@ class BlockPool {
 
   void Insert(uint64_t gen, uint64_t block,
               std::shared_ptr<const std::vector<EncodedTriple>> data) {
-    if (sets_ == 0) return;
     const uint64_t s = SetOf(gen, block);
     Entry* set = &slots_[s * kWays];
     uint32_t victim = 0;
@@ -84,17 +82,9 @@ class BlockPool {
     std::shared_ptr<const std::vector<EncodedTriple>> data;
   };
 
-  BlockPool() {
-    uint64_t slots = 2048;
-    if (const char* env = std::getenv("RE2XOLAP_BLOCK_CACHE_SLOTS")) {
-      slots = std::strtoull(env, nullptr, 10);
-    }
-    // Round down to a power-of-two set count; 0 disables.
-    sets_ = slots / kWays;
-    while (sets_ & (sets_ - 1)) sets_ &= sets_ - 1;
-    slots_.resize(sets_ * kWays);
-    ticks_.assign(sets_, 0);
-  }
+  static_assert((kSets & (kSets - 1)) == 0, "set count must be 2^n");
+
+  BlockPool() : slots_(kSlots), ticks_(kSets, 0) {}
 
   uint64_t SetOf(uint64_t gen, uint64_t block) const {
     // Mix so consecutive blocks of one permutation spread across sets.
@@ -102,10 +92,9 @@ class BlockPool {
     h ^= h >> 29;
     h *= 0xbf58476d1ce4e5b9ull;
     h ^= h >> 32;
-    return h & (sets_ - 1);
+    return h & (kSets - 1);
   }
 
-  uint64_t sets_ = 0;
   std::vector<Entry> slots_;
   std::vector<uint32_t> ticks_;
 };

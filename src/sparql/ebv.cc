@@ -66,6 +66,15 @@ int OrderCells(const rdf::TripleStore& store, const Cell& a, const Cell& b) {
     case Cell::Kind::kNumber:
       return a.number < b.number ? -1 : (a.number > b.number ? 1 : 0);
     case Cell::Kind::kTerm: {
+      // Numeric literals sort before other literals. Comparing the two
+      // lexically, as FILTERs do, would make the order intransitive:
+      // 3 < 10 numerically but "10" < "3" lexically.
+      const bool na = store.term(a.term).is_numeric_literal();
+      const bool nb = store.term(b.term).is_numeric_literal();
+      if (na != nb && store.term(a.term).is_literal() &&
+          store.term(b.term).is_literal()) {
+        return na ? -1 : 1;
+      }
       CellCompare cc = CompareCells(store, a, b);
       if (cc.comparable) return cc.cmp;
       return a.term < b.term ? -1 : (a.term > b.term ? 1 : 0);

@@ -2,11 +2,11 @@
 #define RE2XOLAP_SPARQL_EBV_H_
 
 #include <string>
-#include <type_traits>
 
 #include "rdf/triple_store.h"
 #include "sparql/ast.h"
 #include "sparql/result_table.h"
+#include "util/function_ref.h"
 
 namespace re2xolap::sparql {
 
@@ -28,29 +28,14 @@ struct CellCompare {
 CellCompare CompareCells(const rdf::TripleStore& store, const Cell& a,
                          const Cell& b);
 
-/// Orders cells for ORDER BY / DISTINCT: nulls < numbers < terms.
+/// Orders cells for ORDER BY / DISTINCT: nulls < terms < numbers; among
+/// literal terms, numeric literals (by value) precede the others (by
+/// lexical form). A strict weak order; distinct terms may tie.
 int OrderCells(const rdf::TripleStore& store, const Cell& a, const Cell& b);
 
-/// Non-owning, non-allocating reference to a variable-lookup callable
-/// (`const std::string& -> Cell`). The referenced callable must outlive
-/// every call through the reference — pass lambdas inline, never store a
-/// VarLookup beyond the expression that created it.
-class VarLookup {
- public:
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, VarLookup>>>
-  VarLookup(const F& f)  // NOLINT(runtime/explicit)
-      : obj_(&f), fn_([](const void* obj, const std::string& name) {
-          return (*static_cast<const F*>(obj))(name);
-        }) {}
-
-  Cell operator()(const std::string& name) const { return fn_(obj_, name); }
-
- private:
-  const void* obj_;
-  Cell (*fn_)(const void*, const std::string&);
-};
+/// Variable lookup for EvalExpr (`const std::string& -> Cell`); pass
+/// lambdas inline.
+using VarLookup = util::FunctionRef<Cell(const std::string&)>;
 
 /// EBV of a term: boolean literals by value, numeric literals non-zero,
 /// everything else by non-emptiness of the lexical form. Shared by the

@@ -353,6 +353,12 @@ util::Status ApplyDistinct(const rdf::TripleStore& store, ResultTable* table,
       int c = OrderCells(store, a[i], b[i]);
       if (c != 0) return c < 0;
     }
+    // Distinct terms can tie under OrderCells (the label "3" and the
+    // integer 3); order ties by identity so duplicates end up adjacent.
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].kind != b[i].kind) return a[i].kind < b[i].kind;
+      if (a[i].term != b[i].term) return a[i].term < b[i].term;
+    }
     return false;
   };
   try {

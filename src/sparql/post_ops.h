@@ -33,8 +33,7 @@ struct PostOpProf {
 };
 
 /// Hash-grouping aggregation, fed one BindingBlock of complete join
-/// bindings at a time (the volcano runner buffers its rows into blocks, so
-/// both join cores share this one aggregation path). Groups live in a
+/// bindings at a time (VectorizedRunner::RunBlocks). Groups live in a
 /// flat open-addressing table over packed keys — group g's key is
 /// `key_width` consecutive term ids in one array — and aggregate states
 /// are struct-of-arrays columns indexed by group id, so accumulating a row

@@ -10,8 +10,8 @@ namespace re2xolap::sparql {
 
 namespace {
 
-// Same amortization interval as the volcano runner, counted in scanned
-// index entries, so both executors poll deadlines at the same granularity.
+// Deadline/cancellation polls are amortized over this many scanned index
+// entries.
 constexpr uint64_t kGuardCheckInterval = 8192;
 
 // Subject-led probes: how many rows ahead the SPO run is prefetched (the
@@ -101,7 +101,7 @@ void VectorizedRunner::CompileSteps() {
     // Index selection mirrors TripleStore::Match exactly: every known
     // position forms a prefix of the chosen permutation's key order, so
     // the matching triples are one contiguous sorted range — and the
-    // per-step scanned counts equal the volcano runner's.
+    // per-step scanned counts equal that range's length.
     const bool bs = known[0], bp = known[1], bo = known[2];
     int key_pos[3];
     size_t nkey = 0;
@@ -203,7 +203,7 @@ util::Status VectorizedRunner::RunPipeline(uint64_t row_cap) {
   timer_.Restart();
   CompileSteps();
   // Row-capped runs (LIMIT probes, ASK) degrade to single-row blocks so
-  // the early exit stops scanning exactly where the volcano runner would —
+  // the early exit stops scanning at the row that reaches the cap —
   // batching there would overproduce intermediate bindings past the cap.
   const size_t cap = row_cap != 0 ? 1 : BindingBlock::kDefaultCapacity;
   blocks_.resize(plan_.steps.size());
@@ -448,8 +448,7 @@ util::Status VectorizedRunner::RunStage(size_t stage,
       // Scanned entries are counted and charged as they are consumed, in
       // chunks bounded by the block capacity: guard polling granularity
       // stays within kGuardCheckInterval even for one huge equal range,
-      // and a row-capped early exit stops the count mid-range, like the
-      // volcano path.
+      // and a row-capped early exit stops the count mid-range.
       if (profiling_) step_prof_[stage].scanned += chunk;
       RE2X_RETURN_IF_ERROR(BumpOps(chunk));
       size_t appended;
@@ -554,8 +553,8 @@ util::Status VectorizedRunner::RunOptionalStage(size_t block,
       if (profiling_) ++opt_prof_[block].rows_out;
       out.AppendRow(scratch);
       // Flush as soon as the block fills (not lazily before the next
-      // append): a row-capped run must stop scanning exactly where the
-      // volcano runner's eager emission would.
+      // append): a row-capped run must stop scanning as soon as the row
+      // that reaches the cap is emitted.
       if (out.full()) {
         RE2X_RETURN_IF_ERROR(RunOptionalStage(block + 1, out));
         out.Clear();
@@ -592,8 +591,8 @@ util::Status VectorizedRunner::OptionalPattern(size_t block, size_t idx,
     if (stopped_) return util::Status::OK();
     out->AppendRow(scratch);
     // Flush as soon as the block fills (not lazily before the next
-    // append): a row-capped run must stop scanning exactly where the
-    // volcano runner's eager emission would.
+    // append): a row-capped run must stop scanning as soon as the row
+    // that reaches the cap is emitted.
     if (out->full()) {
       RE2X_RETURN_IF_ERROR(RunOptionalStage(block + 1, *out));
       out->Clear();

@@ -1,6 +1,7 @@
 #ifndef RE2XOLAP_SPARQL_VECTORIZED_RUNNER_H_
 #define RE2XOLAP_SPARQL_VECTORIZED_RUNNER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -9,18 +10,74 @@
 #include "rdf/triple_store.h"
 #include "sparql/binding_block.h"
 #include "sparql/executor.h"
-#include "sparql/join_runner.h"
 #include "sparql/plan.h"
+#include "util/function_ref.h"
 #include "util/status.h"
 #include "util/timer.h"
 
 namespace re2xolap::sparql {
 
-/// Batch-at-a-time join core over columnar BindingBlocks. Consumes the
-/// same Plan as the volcano JoinRunner (so cached plans serve both) and
-/// produces rows in the *identical order* with identical StepProf /
-/// ExecStats counters: blocks flow depth-first through the step pipeline,
-/// rows stay in input order, and extensions are appended in index order.
+/// Per-operator observation slots for one join run. For mandatory steps
+/// `rows_out` counts successful (consistent + filter-passing) extensions;
+/// for OPTIONAL blocks `rows_out` counts rows passed downstream (matched
+/// extensions plus left-join fall-throughs) and `matched` only the
+/// extensions that bound new variables.
+struct StepProf {
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+  uint64_t matched = 0;
+  uint64_t scanned = 0;
+  double micros = 0;  // inclusive wall time, timing mode only
+};
+
+/// Accumulates a join operator's wall time (microseconds) into `*acc`
+/// over the guard's lifetime, less the block-sink time the runner spent
+/// meanwhile (`*sink_micros`): aggregation is attributed to its own
+/// operator, not to the scans that feed it. A null `acc` disables the
+/// clock reads entirely.
+class StepTimeGuard {
+ public:
+  StepTimeGuard(double* acc, const double* sink_micros)
+      : acc_(acc), sink_micros_(sink_micros) {
+    if (acc_ == nullptr) return;
+    sink_start_ = *sink_micros_;
+    start_ = std::chrono::steady_clock::now();
+  }
+  ~StepTimeGuard() {
+    if (acc_ == nullptr) return;
+    *acc_ += std::chrono::duration<double, std::micro>(
+                 std::chrono::steady_clock::now() - start_)
+                 .count() -
+             (*sink_micros_ - sink_start_);
+  }
+  StepTimeGuard(const StepTimeGuard&) = delete;
+  StepTimeGuard& operator=(const StepTimeGuard&) = delete;
+
+ private:
+  double* acc_;
+  const double* sink_micros_;
+  double sink_start_ = 0;
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// Complete-binding callback of VectorizedRunner::Run.
+using RowSink = util::FunctionRef<void(const std::vector<rdf::TermId>&)>;
+
+/// Block-of-bindings callback of VectorizedRunner::RunBlocks: `rows`
+/// lists, in ascending order, the rows of the block that are complete
+/// bindings.
+using BlockSink =
+    util::FunctionRef<void(const BindingBlock&, std::span<const uint32_t>)>;
+
+/// The join core: batch-at-a-time over columnar BindingBlocks, consuming
+/// a planner Plan (so cached plans serve every run). Its semantics are
+/// those of a nested-loop join over the plan's steps in order: blocks
+/// flow depth-first through the step pipeline, rows stay in input order,
+/// and extensions are appended in index order, so a run's row order and
+/// its StepProf / ExecStats counters are a deterministic function of the
+/// plan and the index ranges it reads (the same on raw and compressed
+/// stores). tests/reference_eval.h holds the independent oracle it is
+/// checked against.
 ///
 /// Each mandatory step is compiled once per run into a CompiledStep: the
 /// index permutation and exact key prefix it probes (mirroring
@@ -36,31 +93,37 @@ namespace re2xolap::sparql {
 /// column-wise (broadcast of the parent row + bind-column writes from the
 /// sorted run).
 ///
-/// Guard semantics match the volcano runner at batch granularity: the
-/// deadline/cancellation poll is amortized behind the same
-/// kGuardCheckInterval worth of scanned entries, every produced binding
-/// is charged against the row budget with a budget-only recheck at the
-/// charge site, and the emit path re-checks budgets per row. OPTIONAL
-/// blocks extend parent rows left-join style, each parent row either
-/// appending its matched extensions or falling through unchanged; the
-/// per-pattern matching walks rows of the parent block (variables bound
-/// by earlier OPTIONAL blocks are only known per row, so their probes
-/// cannot be compiled statically).
-class VectorizedRunner : public JoinExecutor {
+/// Guards: the deadline/cancellation poll is amortized behind
+/// kGuardCheckInterval scanned entries, every produced binding is charged
+/// against the row budget with a budget-only recheck at the charge site,
+/// and the emit path re-checks budgets per row. OPTIONAL blocks extend
+/// parent rows left-join style, each parent row either appending its
+/// matched extensions or falling through unchanged; the per-pattern
+/// matching walks rows of the parent block (variables bound by earlier
+/// OPTIONAL blocks are only known per row, so their probes cannot be
+/// compiled statically).
+class VectorizedRunner {
  public:
   VectorizedRunner(const rdf::TripleStore& store, const Plan& plan,
                    const ExecOptions& options, ExecStats* stats);
 
-  util::Status Run(RowSink on_row, uint64_t row_cap = 0) override;
-  util::Status RunBlocks(BlockSink on_block) override;
+  /// Runs the join; calls `on_row(bindings)` for every complete binding.
+  /// When `row_cap` is non-zero the join stops early after producing that
+  /// many rows (safe only when no later operator reorders/merges rows).
+  /// Returns non-OK on timeout / guard violation. The per-step counters
+  /// are flushed into the ExecStats sink on both success and error paths.
+  util::Status Run(RowSink on_row, uint64_t row_cap = 0);
 
-  const std::vector<StepProf>& step_prof() const override {
-    return step_prof_;
-  }
-  const std::vector<StepProf>& opt_prof() const override { return opt_prof_; }
-  uint64_t emitted() const override { return emitted_; }
-  bool timing() const override { return timing_; }
-  const char* join_label() const override { return "join (vectorized)"; }
+  /// Runs the join to completion and hands every complete binding to
+  /// `on_block`, a block at a time, in the order Run would emit them
+  /// (aggregation consumes the join this way). Budgets are rechecked
+  /// after every block.
+  util::Status RunBlocks(BlockSink on_block);
+
+  const std::vector<StepProf>& step_prof() const { return step_prof_; }
+  const std::vector<StepProf>& opt_prof() const { return opt_prof_; }
+  uint64_t emitted() const { return emitted_; }
+  bool timing() const { return timing_; }
 
  private:
   /// One component of a step's probe key, in the permutation's key order:

@@ -31,7 +31,6 @@ constexpr char kGroupByQuery[] = R"(
 TEST_F(ExplainTest, GroupByGoldenReport) {
   ExplainOptions options;
   options.include_timing = false;  // deterministic output
-  options.exec.executor = ExecutorKind::kVolcano;  // golden pins the label
   auto r = ExplainAnalyzeText(*store, kGroupByQuery, options);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->table.row_count(), 3u);  // Syria, China, Nigeria
@@ -42,55 +41,13 @@ TEST_F(ExplainTest, GroupByGoldenReport) {
       "+---------------------------------------+---------+----------+---------+--------+\n"
       "| select                                | 0       | 3        | 0       | *      |\n"
       "|   plan                                | 0       | 0        | 0       | *      |\n"
-      "|   join (index nested loop)            | 0       | 5        | 0       | *      |\n"
+      "|   join (vectorized)                   | 0       | 5        | 0       | *      |\n"
       "|     scan (?s type Observation)        | 1       | 5        | 5       | *      |\n"
       "|       scan (?s countryOrigin ?origin) | 5       | 5        | 5       | *      |\n"
       "|         scan (?s numApplicants ?v)    | 5       | 5        | 5       | *      |\n"
       "|   aggregate (group by ?origin)        | 5       | 3        | 0       | *      |\n"
       "+---------------------------------------+---------+----------+---------+--------+\n";
   EXPECT_EQ(r->report, expected) << "actual report:\n" << r->report;
-}
-
-// Both executors must render the same operator tree with identical
-// cardinality counters — only the join operator's label differs.
-TEST_F(ExplainTest, VectorizedReportMatchesVolcanoModuloJoinLabel) {
-  ExplainOptions options;
-  options.include_timing = false;
-  options.exec.executor = ExecutorKind::kVolcano;
-  auto volcano = ExplainAnalyzeText(*store, kGroupByQuery, options);
-  ASSERT_TRUE(volcano.ok()) << volcano.status();
-  options.exec.executor = ExecutorKind::kVectorized;
-  auto vectorized = ExplainAnalyzeText(*store, kGroupByQuery, options);
-  ASSERT_TRUE(vectorized.ok()) << vectorized.status();
-
-  EXPECT_NE(vectorized->report.find("join (vectorized)"), std::string::npos)
-      << vectorized->report;
-  // Normalize both reports to a common label; everything else (row
-  // counts, scanned counts, operator nesting, column padding) must match.
-  auto normalize = [](std::string report, const std::string& label) {
-    size_t at = report.find(label);
-    EXPECT_NE(at, std::string::npos) << report;
-    // Pad/trim to a fixed-width placeholder so column widths align.
-    std::string out;
-    for (std::string::size_type from = 0; from < report.size();) {
-      size_t hit = report.find(label, from);
-      if (hit == std::string::npos) {
-        out += report.substr(from);
-        break;
-      }
-      out += report.substr(from, hit - from) + "join";
-      from = hit + label.size();
-      // Swallow the padding spaces that follow the label.
-      while (from < report.size() && report[from] == ' ') ++from;
-      out += ' ';
-    }
-    return out;
-  };
-  EXPECT_EQ(normalize(volcano->report, "join (index nested loop)"),
-            normalize(vectorized->report, "join (vectorized)"));
-  EXPECT_EQ(volcano->stats.triples_scanned, vectorized->stats.triples_scanned);
-  EXPECT_EQ(volcano->stats.intermediate_bindings,
-            vectorized->stats.intermediate_bindings);
 }
 
 TEST_F(ExplainTest, TimingModeMeasuresEveryOperator) {
@@ -120,29 +77,23 @@ TEST_F(ExplainTest, TimingModeMeasuresEveryOperator) {
 TEST(ExplainScaleTest, AggregateNodeCarriesTheFoldTime) {
   auto ds = qb::Generate(qb::EurostatSpec(20000));
   ASSERT_TRUE(ds.ok()) << ds.status();
-  for (ExecutorKind kind :
-       {ExecutorKind::kVolcano, ExecutorKind::kVectorized}) {
-    ExplainOptions options;
-    options.exec.executor = kind;
-    auto r = ExplainAnalyzeText(
-        *ds->store,
-        "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", options);
-    ASSERT_TRUE(r.ok()) << r.status();
-    const obs::ProfileNode& root = r->stats.profile;
-    const obs::ProfileNode* join = nullptr;
-    const obs::ProfileNode* agg = nullptr;
-    for (const obs::ProfileNode& n : root.children) {
-      if (n.label.rfind("join", 0) == 0) join = &n;
-      if (n.label.rfind("aggregate", 0) == 0) agg = &n;
-    }
-    ASSERT_NE(join, nullptr);
-    ASSERT_NE(agg, nullptr);
-    EXPECT_EQ(agg->rows_in, ds->store->size());
-    EXPECT_EQ(agg->rows_in, join->rows_out);
-    EXPECT_LT(agg->rows_out, 40u);
-    EXPECT_GT(agg->millis, 0.05) << r->report;
-    EXPECT_LE(join->millis + agg->millis, root.millis + 0.01) << r->report;
+  auto r = ExplainAnalyzeText(
+      *ds->store, "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p");
+  ASSERT_TRUE(r.ok()) << r.status();
+  const obs::ProfileNode& root = r->stats.profile;
+  const obs::ProfileNode* join = nullptr;
+  const obs::ProfileNode* agg = nullptr;
+  for (const obs::ProfileNode& n : root.children) {
+    if (n.label.rfind("join", 0) == 0) join = &n;
+    if (n.label.rfind("aggregate", 0) == 0) agg = &n;
   }
+  ASSERT_NE(join, nullptr);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_EQ(agg->rows_in, ds->store->size());
+  EXPECT_EQ(agg->rows_in, join->rows_out);
+  EXPECT_LT(agg->rows_out, 40u);
+  EXPECT_GT(agg->millis, 0.05) << r->report;
+  EXPECT_LE(join->millis + agg->millis, root.millis + 0.01) << r->report;
 }
 
 TEST_F(ExplainTest, ProfileTreeMatchesExecStats) {

@@ -276,56 +276,51 @@ void ExpectAggregationMatchesFold(const rdf::TripleStore& store,
       " WHERE { " + bgp + " }" +
       (group_vars.empty() ? "" : " GROUP BY" + vars);
   const std::string plain = "SELECT" + vars + " ?m WHERE { " + bgp + " }";
-  for (sparql::ExecutorKind kind :
-       {sparql::ExecutorKind::kVolcano, sparql::ExecutorKind::kVectorized}) {
-    sparql::ExecOptions options;
-    options.executor = kind;
-    auto got = sparql::ExecuteText(store, grouped, options);
-    ASSERT_TRUE(got.ok()) << got.status() << "\n" << grouped;
-    auto rows = sparql::ExecuteText(store, plain, options);
-    ASSERT_TRUE(rows.ok()) << rows.status();
+  auto got = sparql::ExecuteText(store, grouped);
+  ASSERT_TRUE(got.ok()) << got.status() << "\n" << grouped;
+  auto rows = sparql::ExecuteText(store, plain);
+  ASSERT_TRUE(rows.ok()) << rows.status();
 
-    std::map<RefKey, RefState> ref;
-    const size_t m_col = group_vars.size();
-    for (size_t r = 0; r < rows->row_count(); ++r) {
-      RefKey key;
-      for (size_t c = 0; c < m_col; ++c) {
-        key.push_back(Render(*rows, rows->at(r, c)));
-      }
-      RefState& st = ref[key];
-      ++st.rows;
-      const sparql::Cell& m = rows->at(r, m_col);
-      if (m.is_null()) continue;
-      const double v = store.term(m.term).AsDouble();
-      st.sum += v;
-      st.min = std::min(st.min, v);
-      st.max = std::max(st.max, v);
-      ++st.count;
-      st.distinct.insert(m.term);
+  std::map<RefKey, RefState> ref;
+  const size_t m_col = group_vars.size();
+  for (size_t r = 0; r < rows->row_count(); ++r) {
+    RefKey key;
+    for (size_t c = 0; c < m_col; ++c) {
+      key.push_back(Render(*rows, rows->at(r, c)));
     }
+    RefState& st = ref[key];
+    ++st.rows;
+    const sparql::Cell& m = rows->at(r, m_col);
+    if (m.is_null()) continue;
+    const double v = store.term(m.term).AsDouble();
+    st.sum += v;
+    st.min = std::min(st.min, v);
+    st.max = std::max(st.max, v);
+    ++st.count;
+    st.distinct.insert(m.term);
+  }
 
-    ASSERT_EQ(got->row_count(), ref.size()) << grouped;
-    std::set<RefKey> seen;
-    for (size_t r = 0; r < got->row_count(); ++r) {
-      RefKey key;
-      for (size_t c = 0; c < m_col; ++c) {
-        key.push_back(Render(*got, got->at(r, c)));
-      }
-      EXPECT_TRUE(seen.insert(key).second) << "duplicate group";
-      auto it = ref.find(key);
-      ASSERT_NE(it, ref.end());
-      const RefState& st = it->second;
-      auto num = [&](size_t offset) {
-        return got->NumericValue(got->at(r, m_col + offset));
-      };
-      EXPECT_DOUBLE_EQ(num(0), st.sum);
-      EXPECT_DOUBLE_EQ(num(1), st.count ? st.sum / st.count : 0.0);
-      EXPECT_DOUBLE_EQ(num(2), st.count ? st.min : 0.0);
-      EXPECT_DOUBLE_EQ(num(3), st.count ? st.max : 0.0);
-      EXPECT_EQ(num(4), static_cast<double>(st.count));
-      EXPECT_EQ(num(5), static_cast<double>(st.distinct.size()));
-      EXPECT_EQ(num(6), static_cast<double>(st.rows));
+  ASSERT_EQ(got->row_count(), ref.size()) << grouped;
+  std::set<RefKey> seen;
+  for (size_t r = 0; r < got->row_count(); ++r) {
+    RefKey key;
+    for (size_t c = 0; c < m_col; ++c) {
+      key.push_back(Render(*got, got->at(r, c)));
     }
+    EXPECT_TRUE(seen.insert(key).second) << "duplicate group";
+    auto it = ref.find(key);
+    ASSERT_NE(it, ref.end());
+    const RefState& st = it->second;
+    auto num = [&](size_t offset) {
+      return got->NumericValue(got->at(r, m_col + offset));
+    };
+    EXPECT_DOUBLE_EQ(num(0), st.sum);
+    EXPECT_DOUBLE_EQ(num(1), st.count ? st.sum / st.count : 0.0);
+    EXPECT_DOUBLE_EQ(num(2), st.count ? st.min : 0.0);
+    EXPECT_DOUBLE_EQ(num(3), st.count ? st.max : 0.0);
+    EXPECT_EQ(num(4), static_cast<double>(st.count));
+    EXPECT_EQ(num(5), static_cast<double>(st.distinct.size()));
+    EXPECT_EQ(num(6), static_cast<double>(st.rows));
   }
 }
 

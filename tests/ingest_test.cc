@@ -338,23 +338,18 @@ TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
     }
   }
 
-  // Both executors produce the oracle's answers over the live store.
+  // The executor produces the oracle's answers over the live store.
   const char* kQueries[] = {
       "SELECT ?s ?o WHERE { ?s <http://t/p1> ?o }",
       "SELECT ?s WHERE { ?s <http://t/p1> ?x . ?x <http://t/p2> ?y }",
       "SELECT ?obs WHERE { ?obs a <http://test/Observation> }",
   };
   for (const char* query : kQueries) {
-    for (sparql::ExecutorKind kind :
-         {sparql::ExecutorKind::kVolcano, sparql::ExecutorKind::kVectorized}) {
-      sparql::ExecOptions opts;
-      opts.executor = kind;
-      auto live = sparql::ExecuteText(*fx.store, query, opts);
-      auto expect = sparql::ExecuteText(*oracle, query, opts);
-      ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
-      ASSERT_TRUE(expect.ok()) << expect.status();
-      EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
-    }
+    auto live = sparql::ExecuteText(*fx.store, query);
+    auto expect = sparql::ExecuteText(*oracle, query);
+    ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
+    ASSERT_TRUE(expect.ok()) << expect.status();
+    EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
   }
 }
 
@@ -784,10 +779,8 @@ TEST(IngestStressTest, ConcurrentReadIngestCompact) {
         if (count % kPerBatch != 0 || count < last) ++violations;
         last = count;
         // Exercise the full executor path under the same pin.
-        sparql::ExecOptions opts;
-        opts.executor = sparql::ExecutorKind::kVectorized;
         auto r = sparql::ExecuteText(
-            *fx.store, "SELECT ?s WHERE { ?s <http://t/p99> ?o }", opts);
+            *fx.store, "SELECT ?s WHERE { ?s <http://t/p99> ?o }");
         if (!r.ok() || (*r).row_count() % kPerBatch != 0) ++violations;
       }
     });
