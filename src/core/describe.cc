@@ -1,22 +1,14 @@
 #include "core/describe.h"
 
-namespace re2xolap::core {
+#include "sparql/labels.h"
 
-namespace {
-constexpr char kRdfsLabelIri[] =
-    "http://www.w3.org/2000/01/rdf-schema#label";
-}  // namespace
+namespace re2xolap::core {
 
 std::string DisplayName(const rdf::TripleStore& store, rdf::TermId term) {
   const rdf::Term& t = store.term(term);
   if (t.is_literal()) return t.value;
-  rdf::TermId label = store.Lookup(rdf::Term::Iri(kRdfsLabelIri));
-  if (label != rdf::kInvalidTermId) {
-    for (const rdf::EncodedTriple& lt :
-         store.Match({term, label, rdf::kInvalidTermId})) {
-      if (store.term(lt.o).is_literal()) return store.term(lt.o).value;
-    }
-  }
+  const rdf::TermId label = sparql::LabelResolver(store).Label(term);
+  if (label != rdf::kInvalidTermId) return store.term(label).value;
   return PrettifyIriLocalName(t.value);
 }
 

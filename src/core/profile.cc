@@ -5,25 +5,12 @@
 
 #include "engine/query_engine.h"
 #include "sparql/executor.h"
+#include "sparql/labels.h"
 #include "util/string_utils.h"
 
 namespace re2xolap::core {
 
 namespace {
-
-constexpr char kLabelIri[] = "http://www.w3.org/2000/01/rdf-schema#label";
-
-/// Label of a member, or its IRI local name when unlabeled.
-std::string MemberLabel(const rdf::TripleStore& store, rdf::TermId member,
-                        rdf::TermId label_pred) {
-  if (label_pred != rdf::kInvalidTermId) {
-    for (const rdf::EncodedTriple& t :
-         store.Match({member, label_pred, rdf::kInvalidTermId})) {
-      if (store.term(t.o).is_literal()) return store.term(t.o).value;
-    }
-  }
-  return PrettifyIriLocalName(store.term(member).value);
-}
 
 /// Shared implementation; a null engine keeps the direct executor path.
 util::Result<DatasetProfile> ProfileDatasetImpl(
@@ -32,7 +19,7 @@ util::Result<DatasetProfile> ProfileDatasetImpl(
   DatasetProfile profile;
   profile.triple_count = store.size();
   profile.total_members = vsg.total_members();
-  rdf::TermId label_pred = store.Lookup(rdf::Term::Iri(kLabelIri));
+  const sparql::LabelResolver labels(store);
 
   // Dimensions: group root paths by their dimension predicate.
   std::map<rdf::TermId, DimensionProfile> dims;
@@ -50,8 +37,12 @@ util::Result<DatasetProfile> ProfileDatasetImpl(
     lp.member_count = node.members.size();
     for (size_t i = 0; i < node.members.size() && lp.sample_labels.size() < 5;
          i += std::max<size_t>(1, node.members.size() / 5)) {
+      // A member's label, or its IRI's local name when it has none.
+      const rdf::TermId label = labels.Label(node.members[i]);
       lp.sample_labels.push_back(
-          MemberLabel(store, node.members[i], label_pred));
+          label != rdf::kInvalidTermId
+              ? store.term(label).value
+              : PrettifyIriLocalName(store.term(node.members[i]).value));
     }
     dp.levels.push_back(std::move(lp));
   }

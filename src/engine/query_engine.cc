@@ -104,10 +104,12 @@ QueryEngine::QueryEngine(const rdf::TripleStore& store, EngineConfig config)
     : store_(store),
       config_(config),
       seen_epoch_(store.freeze_epoch()) {
-  size_t n_shards = std::max<size_t>(1, config_.result_cache_shards);
+  const size_t n_shards = std::max<size_t>(1, config_.result_cache_shards);
+  const size_t budget =
+      std::max<size_t>(1, config_.result_cache_bytes / n_shards);
   shards_.reserve(n_shards);
   for (size_t i = 0; i < n_shards; ++i) {
-    shards_.push_back(std::make_unique<ResultShard>());
+    shards_.push_back(std::make_shared<ResultShard>(budget));
   }
 }
 
@@ -141,7 +143,6 @@ EngineCacheStats QueryEngine::cache_stats() const {
   s.plan_evictions = plan_evictions_.load(std::memory_order_relaxed);
   s.result_hits = result_hits_.load(std::memory_order_relaxed);
   s.result_misses = result_misses_.load(std::memory_order_relaxed);
-  s.result_evictions = result_evictions_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(plan_mu_);
@@ -151,6 +152,7 @@ EngineCacheStats QueryEngine::cache_stats() const {
     std::lock_guard<std::mutex> lock(shard->mu);
     s.result_entries += shard->lru.size();
     s.result_bytes += shard->bytes;
+    s.result_evictions += shard->evictions;
   }
   return s;
 }
@@ -183,13 +185,14 @@ void QueryEngine::PlanInsert(const std::string& key,
   }
 }
 
-QueryEngine::ResultShard& QueryEngine::ShardFor(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
+const std::shared_ptr<QueryEngine::ResultShard>& QueryEngine::ShardFor(
+    const std::string& key) {
+  return shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
 TableHandle QueryEngine::ResultLookup(const std::string& key,
                                       uint64_t* fingerprint) {
-  ResultShard& shard = ShardFor(key);
+  ResultShard& shard = *ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) return nullptr;
@@ -198,36 +201,67 @@ TableHandle QueryEngine::ResultLookup(const std::string& key,
   return it->second->table;
 }
 
-void QueryEngine::ResultInsert(const std::string& key,
-                               const TableHandle& table,
-                               uint64_t fingerprint) {
+void QueryEngine::EvictOverBudgetLocked(ResultShard& shard) {
+  while (shard.bytes > shard.budget && shard.lru.size() > 1) {
+    ResultEntry& victim = shard.lru.back();
+    shard.bytes -= victim.cost;
+    shard.index.erase(victim.key);
+    shard.lru.pop_back();
+    ++shard.evictions;
+    EngineMetrics::Get().result_evictions.Inc();
+  }
+}
+
+void QueryEngine::ResultInsert(
+    const std::string& key, const std::shared_ptr<sparql::ResultTable>& table,
+    uint64_t fingerprint) {
   // Fault-injection site: `cache.insert=skip` turns the cache write into
   // a no-op (the caller still gets its result; only reuse is lost).
   if (util::FailpointSkip("cache.insert")) return;
   const size_t cost = EstimateTableCost(*table);
-  const size_t budget =
-      std::max<size_t>(1, config_.result_cache_bytes / shards_.size());
+  const std::shared_ptr<ResultShard>& shard_ptr = ShardFor(key);
+  ResultShard& shard = *shard_ptr;
   // An entry bigger than a whole shard's budget would evict everything
   // and immediately exceed the budget itself — don't admit it.
-  if (cost > budget) return;
-  ResultShard& shard = ShardFor(key);
+  if (cost > shard.budget) return;
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;  // concurrent miss cached the same result first
   }
+  table->set_memo_observer(
+      [weak = std::weak_ptr<ResultShard>(shard_ptr), key,
+       raw = table.get()](size_t bytes) {
+        if (std::shared_ptr<ResultShard> s = weak.lock()) {
+          ChargeMemo(*s, key, raw, bytes);
+        }
+      });
   shard.lru.push_front(ResultEntry{key, table, cost, fingerprint});
   shard.index[key] = shard.lru.begin();
   shard.bytes += cost;
-  while (shard.bytes > budget && shard.lru.size() > 1) {
-    ResultEntry& victim = shard.lru.back();
-    shard.bytes -= victim.cost;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    result_evictions_.fetch_add(1, std::memory_order_relaxed);
+  EvictOverBudgetLocked(shard);
+}
+
+void QueryEngine::ChargeMemo(ResultShard& shard, const std::string& key,
+                             const sparql::ResultTable* table, size_t bytes) {
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end() || it->second->table.get() != table) return;
+  ResultEntry& entry = *it->second;
+  entry.cost += bytes;
+  shard.bytes += bytes;
+  if (entry.cost > shard.budget) {
+    // Table plus memo outgrew the shard: drop it, as ResultInsert would
+    // have refused it (holders keep their handle).
+    shard.bytes -= entry.cost;
+    shard.lru.erase(it->second);
+    shard.index.erase(it);
+    ++shard.evictions;
     EngineMetrics::Get().result_evictions.Inc();
+    return;
   }
+  EvictOverBudgetLocked(shard);
 }
 
 util::Result<TableHandle> QueryEngine::Execute(
@@ -387,8 +421,8 @@ util::Result<TableHandle> QueryEngine::Execute(
     return executed.status();
   }
 
-  auto handle = std::make_shared<const sparql::ResultTable>(
-      std::move(executed).value());
+  auto handle =
+      std::make_shared<sparql::ResultTable>(std::move(executed).value());
   if (use_result_cache) {
     ResultInsert(key, handle, record.rec().fingerprint);
   }

@@ -40,7 +40,8 @@ struct EngineConfig {
   /// Max distinct plans kept (LRU beyond that). 0 disables plan caching.
   size_t plan_cache_capacity = 256;
   /// Total byte budget across all result-cache shards, charged per entry
-  /// by an estimate of its resident size. 0 disables result caching.
+  /// by an estimate of its resident size plus its JSON memo once one is
+  /// attached. 0 disables result caching.
   size_t result_cache_bytes = 8u << 20;
   /// Lock shards for the result cache; each shard owns an equal slice of
   /// the byte budget and its own LRU list, so concurrent validation
@@ -67,7 +68,8 @@ struct EngineCacheStats {
   uint64_t retries = 0;  // transient-failure re-executions
   size_t plan_entries = 0;
   size_t result_entries = 0;
-  size_t result_bytes = 0;  // resident cost estimate across shards
+  size_t result_bytes = 0;  // resident cost estimate across shards,
+                            // JSON memos included
 };
 
 /// The single execution entry point for a frozen store: owns the full
@@ -78,8 +80,9 @@ struct EngineCacheStats {
 ///   read-only during execution, so one cached plan serves concurrent
 ///   executions.
 /// - Result cache: sharded, byte-budgeted LRU of normalized query →
-///   TableHandle. Entries are charged an estimate of their resident size;
-///   a shard over its slice of the budget evicts least-recently-used
+///   TableHandle. Entries are charged an estimate of their resident size,
+///   and later the size of the table's JSON memo when a render attaches
+///   one; a shard over its slice of the budget evicts least-recently-used
 ///   entries.
 ///
 /// Invalidation: every Execute compares the store's freeze_epoch()
@@ -166,10 +169,13 @@ class QueryEngine {
     uint64_t fingerprint = 0;
   };
   struct ResultShard {
+    explicit ResultShard(size_t budget) : budget(budget) {}
+    const size_t budget;  // this shard's slice of result_cache_bytes
     mutable std::mutex mu;
     std::list<ResultEntry> lru;  // front = most recent
     std::unordered_map<std::string, std::list<ResultEntry>::iterator> index;
     size_t bytes = 0;
+    uint64_t evictions = 0;
   };
 
   /// Clears caches if the store has been re-frozen since they were built;
@@ -180,12 +186,23 @@ class QueryEngine {
   void PlanInsert(const std::string& key,
                   std::shared_ptr<const sparql::Plan> plan);
 
-  ResultShard& ShardFor(const std::string& key);
+  const std::shared_ptr<ResultShard>& ShardFor(const std::string& key);
   /// On a hit, `fingerprint` (when non-null) receives the entry's stored
   /// query-log fingerprint.
   TableHandle ResultLookup(const std::string& key, uint64_t* fingerprint);
-  void ResultInsert(const std::string& key, const TableHandle& table,
+  /// Admits `table` under `key` and arms its memo observer, which charges
+  /// the JSON memo to the entry when it attaches (ChargeMemo). `table` is
+  /// not yet shared with any other thread.
+  void ResultInsert(const std::string& key,
+                    const std::shared_ptr<sparql::ResultTable>& table,
                     uint64_t fingerprint);
+  /// Adds `bytes` to the cost of the entry holding `table` under `key`
+  /// (no-op when it was evicted meanwhile) and evicts down to budget.
+  static void ChargeMemo(ResultShard& shard, const std::string& key,
+                         const sparql::ResultTable* table, size_t bytes);
+  /// Evicts least-recently-used entries while the shard is over budget,
+  /// keeping at least one.
+  static void EvictOverBudgetLocked(ResultShard& shard);
 
   const rdf::TripleStore& store_;
   const EngineConfig config_;
@@ -196,12 +213,13 @@ class QueryEngine {
   std::list<PlanEntry> plan_lru_;  // front = most recent
   std::unordered_map<std::string, std::list<PlanEntry>::iterator> plan_index_;
 
-  std::vector<std::unique_ptr<ResultShard>> shards_;
+  // Shared: a cached table's memo observer holds a weak_ptr to its shard,
+  // and the table may outlive the engine.
+  std::vector<std::shared_ptr<ResultShard>> shards_;
 
   // Per-instance counters (relaxed; exact under the test's sync points).
   std::atomic<uint64_t> plan_hits_{0}, plan_misses_{0}, plan_evictions_{0};
-  std::atomic<uint64_t> result_hits_{0}, result_misses_{0},
-      result_evictions_{0};
+  std::atomic<uint64_t> result_hits_{0}, result_misses_{0};
   std::atomic<uint64_t> retries_{0};
 };
 

@@ -155,6 +155,7 @@ void QueryLog::Configure(QueryLogConfig config) {
     ShardLock lock(shard.busy);
     shard.ring.clear();
     shard.ring.resize(shard_cap);
+    shard.head = 0;
     shard.appended = 0;
   }
   {
@@ -265,15 +266,6 @@ std::vector<QueryRecord> QueryLog::Snapshot() const {
 std::vector<SlowQueryEntry> QueryLog::SlowSnapshot() const {
   std::lock_guard<std::mutex> lock(slow_mu_);
   return std::vector<SlowQueryEntry>(slow_.begin(), slow_.end());
-}
-
-void QueryLog::Clear() {
-  for (Shard& shard : shards_) {
-    ShardLock lock(shard.busy);
-    shard.appended = 0;
-  }
-  std::lock_guard<std::mutex> lock(slow_mu_);
-  slow_.clear();
 }
 
 std::string QueryLog::ToJsonLine(const QueryRecord& rec) {

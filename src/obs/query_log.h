@@ -162,7 +162,7 @@ class QueryLog {
   void AppendCompleted(QueryRecord& rec, std::string query,
                        std::string detail = {});
 
-  /// Records appended since process start (monotone; survives Clear).
+  /// Records appended since process start (monotone; survives Configure).
   /// Ids are handed out exactly once per appended record, so this is the
   /// id counter minus its starting value — no second atomic on the
   /// append path.
@@ -175,10 +175,6 @@ class QueryLog {
 
   /// Copies out the retained slow-query entries, oldest first.
   std::vector<SlowQueryEntry> SlowSnapshot() const;
-
-  /// Drops every retained record and slow entry (ids stay monotone,
-  /// configuration and sink unchanged).
-  void Clear();
 
   /// Flushes the JSONL sink buffer to disk (no-op when disarmed). Called
   /// automatically when the buffer fills and at process exit.

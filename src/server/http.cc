@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 
+#include "sparql/json.h"
 #include "util/string_utils.h"
 
 namespace re2xolap::server {
@@ -98,23 +98,7 @@ std::string UrlDecode(std::string_view s) {
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  sparql::AppendJsonEscaped(s, &out);
   return out;
 }
 

@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "sparql/ast.h"
+#include "sparql/json.h"
 #include "sparql/result_table.h"
 #include "store/ingestor.h"
 #include "util/exec_guard.h"
@@ -78,9 +79,9 @@ double MillisSince(std::chrono::steady_clock::time_point since) {
 }
 
 std::string JsonNumber(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+  std::string out;
+  sparql::AppendJsonNumber(v, &out);
+  return out;
 }
 
 /// Maps a handler Status onto the HTTP taxonomy (DESIGN.md §17): client
@@ -744,36 +745,12 @@ HttpResponse JsonOk(std::string body) {
 }
 
 /// Renders a result table as JSON, honoring the `limit` row cap
-/// (0 = all rows).
+/// (0 = all rows): the table's encoding (sparql/json.h, memoized on the
+/// table for full renders) plus this request's "stats" member.
 HttpResponse TableResponse(const sparql::ResultTable& table, size_t limit,
                            const sparql::ExecStats* stats) {
-  const size_t rows =
-      limit == 0 ? table.row_count() : std::min(limit, table.row_count());
-  std::string body = "{\"columns\": [";
-  for (size_t c = 0; c < table.columns().size(); ++c) {
-    if (c > 0) body += ", ";
-    body += "\"" + JsonEscape(table.columns()[c]) + "\"";
-  }
-  body += "], \"row_count\": " + std::to_string(table.row_count()) +
-          ", \"truncated\": " + (rows < table.row_count() ? "true" : "false") +
-          ", \"rows\": [";
-  for (size_t r = 0; r < rows; ++r) {
-    if (r > 0) body += ", ";
-    body += "[";
-    for (size_t c = 0; c < table.columns().size(); ++c) {
-      if (c > 0) body += ", ";
-      const sparql::Cell& cell = table.at(r, c);
-      if (cell.is_null()) {
-        body += "null";
-      } else if (cell.is_number()) {
-        body += JsonNumber(cell.number);
-      } else {
-        body += "\"" + JsonEscape(table.CellToString(cell)) + "\"";
-      }
-    }
-    body += "]";
-  }
-  body += "]";
+  std::string body;
+  sparql::AppendTableJson(table, limit, &body);
   if (stats != nullptr) {
     body += ", \"stats\": {\"exec_millis\": " + JsonNumber(stats->exec_millis) +
             ", \"plan_millis\": " + JsonNumber(stats->plan_millis) +

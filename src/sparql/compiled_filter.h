@@ -222,9 +222,10 @@ class CompiledFilter {
             hi = mid;
           }
         }
-        const rdf::TermId* t = &tuples_[n.tuple_begin + lo * n.width];
-        return OfBool(n.tuple_begin + lo * n.width < n.tuple_end &&
-                      std::equal(key, key + n.width, t));
+        // Bounds first: `lo` may be one past the last tuple.
+        const uint32_t at = n.tuple_begin + lo * n.width;
+        return OfBool(at < n.tuple_end &&
+                      std::equal(key, key + n.width, tuples_.data() + at));
       }
       case Kind::kMember: {
         const rdf::TermId v = Binding(at, n.slot);

@@ -14,6 +14,7 @@
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "sparql/explain.h"
+#include "sparql/labels.h"
 #include "sparql/parser.h"
 #include "sparql/post_ops.h"
 #include "sparql/vectorized_runner.h"
@@ -100,7 +101,7 @@ util::Result<ResultTable> ExecuteAsk(const rdf::TripleStore& store,
     answer =
         sub.columns()[0] == "n" ? sub.NumericValue(sub.at(0, 0)) > 0 : true;
   }
-  ResultTable out(&store, {"ask"});
+  ResultTable out(&store.dictionary(), {"ask"});
   out.AddRow({Cell::OfNumber(answer ? 1.0 : 0.0)});
   if (stats) {
     // Wrap the probe's operator tree under an "ask" root.
@@ -291,7 +292,7 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
   std::vector<std::string> columns;
   columns.reserve(items.size());
   for (const SelectItem& it : items) columns.push_back(it.OutputName());
-  ResultTable table(&store, columns);
+  ResultTable table(&store.dictionary(), columns);
 
   if (plan.impossible) {
     if (stats) {
@@ -400,6 +401,9 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
       RE2X_RETURN_IF_ERROR(
           ApplyLimitOffset(query, &table, &post_ops, options.guard));
     }
+    // Labels are read here, under the caller's pin, so they come from the
+    // epoch the rows come from; rendering then only reads the dictionary.
+    ResolveDisplayTerms(store, &table);
     return util::Status::OK();
   };
 

@@ -5,6 +5,18 @@
 
 namespace re2xolap::sparql {
 
+ResultTable& ResultTable::operator=(ResultTable&& other) noexcept {
+  if (this == &other) return *this;
+  const std::string* memo =
+      other.json_.exchange(nullptr, std::memory_order_relaxed);
+  delete json_.exchange(memo, std::memory_order_relaxed);
+  dict_ = other.dict_;
+  columns_ = std::move(other.columns_);
+  rows_ = std::move(other.rows_);
+  memo_observer_ = std::move(other.memo_observer_);
+  return *this;
+}
+
 int ResultTable::ColumnIndex(const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i] == name) return static_cast<int>(i);
@@ -17,7 +29,7 @@ double ResultTable::NumericValue(const Cell& cell) const {
     case Cell::Kind::kNumber:
       return cell.number;
     case Cell::Kind::kTerm:
-      return store_ ? store_->term(cell.term).AsDouble() : 0.0;
+      return dict_ ? dict_->numeric(cell.term) : 0.0;
     case Cell::Kind::kNull:
       return 0.0;
   }
@@ -30,22 +42,9 @@ std::string ResultTable::CellToString(const Cell& cell) const {
       return "";
     case Cell::Kind::kNumber:
       return util::FormatDouble(cell.number);
-    case Cell::Kind::kTerm: {
-      if (!store_) return "#" + std::to_string(cell.term);
-      const rdf::Term& t = store_->term(cell.term);
-      if (t.is_literal()) return t.value;
-      // IRIs: prefer the entity's rdfs:label when one exists.
-      rdf::TermId label_pred = store_->Lookup(
-          rdf::Term::Iri("http://www.w3.org/2000/01/rdf-schema#label"));
-      if (label_pred != rdf::kInvalidTermId) {
-        for (const rdf::EncodedTriple& lt :
-             store_->Match({cell.term, label_pred, rdf::kInvalidTermId})) {
-          const rdf::Term& o = store_->term(lt.o);
-          if (o.is_literal()) return o.value;
-        }
-      }
-      return t.value;
-    }
+    case Cell::Kind::kTerm:
+      if (!dict_) return "#" + std::to_string(cell.term);
+      return dict_->term(cell.shown()).value;
   }
   return "";
 }
@@ -64,6 +63,19 @@ void ResultTable::Print(std::ostream& os, size_t max_rows) const {
   if (rows_.size() > max_rows) {
     os << "... (" << rows_.size() - max_rows << " more rows)\n";
   }
+}
+
+const std::string& ResultTable::PublishJsonMemo(std::string json) const {
+  const std::string* mine = new std::string(std::move(json));
+  const std::string* expected = nullptr;
+  if (!json_.compare_exchange_strong(expected, mine,
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+    delete mine;
+    return *expected;  // a concurrent render won
+  }
+  if (memo_observer_) memo_observer_(mine->size());
+  return *mine;
 }
 
 }  // namespace re2xolap::sparql

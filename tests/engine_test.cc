@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "rdf/text_index.h"
 #include "sparql/executor.h"
+#include "sparql/json.h"
 #include "sparql/parser.h"
 #include "tests/test_data.h"
 #include "util/exec_guard.h"
@@ -187,6 +188,114 @@ TEST_F(EngineTest, OversizedEntriesAreNotAdmitted) {
   EXPECT_EQ(stats.result_misses, 2u);
 }
 
+/// The table's full JSON encoding (the memo a render attaches).
+std::string FullJson(const sparql::ResultTable& table) {
+  std::string out;
+  sparql::AppendTableJson(table, /*limit=*/0, &out);
+  return out;
+}
+
+TEST_F(EngineTest, RenderChargesTheMemoToItsEntryOnce) {
+  QueryEngine engine(*store);
+  auto handle = engine.ExecuteText(kObsQuery);
+  ASSERT_TRUE(handle.ok());
+  const size_t before = engine.cache_stats().result_bytes;
+  EXPECT_EQ(before, EstimateTableCost(**handle));
+  ASSERT_EQ((*handle)->json_memo(), nullptr);
+
+  const std::string json = FullJson(**handle);
+  ASSERT_NE((*handle)->json_memo(), nullptr);
+  EXPECT_EQ(*(*handle)->json_memo(), json);
+  EXPECT_EQ(engine.cache_stats().result_bytes, before + json.size());
+
+  // Later renders, hits included, reuse the memo and charge nothing more;
+  // a capped render neither reads nor charges it.
+  auto hit = engine.ExecuteText(kObsQuery);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->get(), handle->get());
+  EXPECT_EQ(FullJson(**hit), json);
+  std::string capped;
+  sparql::AppendTableJson(**hit, /*limit=*/2, &capped);
+  EXPECT_NE(capped, json);
+  EXPECT_EQ(engine.cache_stats().result_bytes, before + json.size());
+
+  // A table the cache no longer holds attaches its memo uncharged.
+  engine.InvalidateCaches();
+  auto fresh = engine.ExecuteText(kObsQuery);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_NE(fresh->get(), handle->get());
+  auto uncached = sparql::ExecuteText(*store, kObsQuery);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ(FullJson(*uncached), json);
+  EXPECT_EQ(engine.cache_stats().result_bytes, EstimateTableCost(**fresh));
+}
+
+TEST_F(EngineTest, ConcurrentRendersAttachOneMemoChargedOnce) {
+  QueryEngine engine(*store);
+  auto handle = engine.ExecuteText(kObsQuery);
+  ASSERT_TRUE(handle.ok());
+  const size_t cost = engine.cache_stats().result_bytes;
+  constexpr int kThreads = 4;
+  std::vector<std::string> bodies(kThreads);
+  std::vector<std::thread> renderers;
+  for (int w = 0; w < kThreads; ++w) {
+    renderers.emplace_back([&, w] { bodies[w] = FullJson(**handle); });
+  }
+  for (auto& t : renderers) t.join();
+  for (int w = 1; w < kThreads; ++w) EXPECT_EQ(bodies[w], bodies[0]);
+  EXPECT_EQ(engine.cache_stats().result_bytes, cost + bodies[0].size());
+}
+
+TEST_F(EngineTest, MemoChargeEvictsDownToTheShardBudget) {
+  // Room for two tables in one shard, but not for a memo on top.
+  auto a = sparql::ExecuteText(*store, ThresholdQuery(0));
+  auto b = sparql::ExecuteText(*store, ThresholdQuery(1));
+  ASSERT_TRUE(a.ok() && b.ok());
+  const size_t cost_a = EstimateTableCost(*a);
+  const size_t cost_b = EstimateTableCost(*b);
+  const size_t memo_a = FullJson(*a).size();
+
+  EngineConfig config;
+  config.result_cache_shards = 1;
+  config.result_cache_bytes = cost_a + cost_b + memo_a / 2;
+  QueryEngine engine(*store, config);
+  auto handle_a = engine.ExecuteText(ThresholdQuery(0));
+  ASSERT_TRUE(engine.ExecuteText(ThresholdQuery(1)).ok());
+  // Touch A so that B is the least recently used entry.
+  ASSERT_TRUE(engine.ExecuteText(ThresholdQuery(0)).ok());
+  ASSERT_EQ(engine.cache_stats().result_entries, 2u);
+  ASSERT_EQ(engine.cache_stats().result_evictions, 0u);
+
+  FullJson(**handle_a);
+  EngineCacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.result_evictions, 1u);
+  EXPECT_EQ(stats.result_entries, 1u);
+  EXPECT_EQ(stats.result_bytes, cost_a + memo_a);
+  EXPECT_LE(stats.result_bytes, config.result_cache_bytes);
+  ASSERT_TRUE(engine.ExecuteText(ThresholdQuery(0)).ok());
+  EXPECT_EQ(engine.cache_stats().result_hits, 2u);  // A is still resident
+}
+
+TEST_F(EngineTest, MemoOutgrowingTheShardDropsItsEntry) {
+  auto probe = sparql::ExecuteText(*store, kObsQuery);
+  ASSERT_TRUE(probe.ok());
+  EngineConfig config;
+  config.result_cache_shards = 1;
+  config.result_cache_bytes = EstimateTableCost(*probe) + 1;
+  QueryEngine engine(*store, config);
+  auto handle = engine.ExecuteText(kObsQuery);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_EQ(engine.cache_stats().result_entries, 1u);
+
+  const std::string json = FullJson(**handle);
+  EngineCacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.result_entries, 0u);
+  EXPECT_EQ(stats.result_bytes, 0u);
+  EXPECT_EQ(stats.result_evictions, 1u);
+  // The caller's handle and its memo are unaffected.
+  EXPECT_EQ(FullJson(**handle), json);
+}
+
 TEST_F(EngineTest, ErrorsAreNeverCached) {
   QueryEngine engine(*store);
   // ORDER BY over an unprojected column fails at execution time, after
@@ -278,6 +387,15 @@ TEST_F(EngineTest, ConcurrentHitMissEvictStress) {
   config.result_cache_bytes = 5 * EstimateTableCost(*probe) / 2;
   QueryEngine engine(*store, config);
 
+  // Every result is also rendered, so memo publication and its charge
+  // race with the hits, misses and evictions.
+  std::vector<std::string> expected_json;
+  for (int t = 0; t < 6; ++t) {
+    auto direct = sparql::ExecuteText(*store, ThresholdQuery(t));
+    ASSERT_TRUE(direct.ok());
+    expected_json.push_back(FullJson(*direct));
+  }
+
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 40;
   std::vector<std::thread> workers;
@@ -287,8 +405,12 @@ TEST_F(EngineTest, ConcurrentHitMissEvictStress) {
       for (int i = 0; i < kItersPerThread; ++i) {
         // Each thread cycles a window of queries overlapping its
         // neighbours', forcing shared entries plus steady eviction churn.
-        auto r = engine.ExecuteText(ThresholdQuery((w + i) % 6));
-        if (!r.ok() || (*r)->row_count() > 5u) ++failures[w];
+        const int t = (w + i) % 6;
+        auto r = engine.ExecuteText(ThresholdQuery(t));
+        if (!r.ok() || (*r)->row_count() > 5u ||
+            FullJson(**r) != expected_json[t]) {
+          ++failures[w];
+        }
       }
     });
   }

@@ -68,7 +68,9 @@ bool CanonicalLess(const Row& a, const Row& b) {
   for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
     if (a[i].kind != b[i].kind) return a[i].kind < b[i].kind;
     if (a[i].term != b[i].term) return a[i].term < b[i].term;
-    if (a[i].number != b[i].number) return a[i].number < b[i].number;
+    if (a[i].is_number() && a[i].number != b[i].number) {
+      return a[i].number < b[i].number;
+    }
   }
   return a.size() < b.size();
 }

@@ -168,7 +168,7 @@ TEST_F(ExrefTest, PercentileBandsAnchoredByExample) {
 TEST_F(ExrefTest, PercentileEmptyOnTinyResults) {
   ExploreState st = StateFor({"Germany"});
   sparql::ResultTable t = Exec(st);
-  sparql::ResultTable tiny(t.store(), t.columns());
+  sparql::ResultTable tiny(t.dictionary(), t.columns());
   if (t.row_count() > 0) tiny.AddRow(t.rows()[0]);
   auto refs = SubsetPercentile(*store, st, tiny);
   ASSERT_TRUE(refs.ok());

@@ -26,6 +26,7 @@
 #include "server/http_client.h"
 #include "server/server.h"
 #include "sparql/executor.h"
+#include "sparql/json.h"
 #include "storage/snapshot.h"
 #include "store/ingestor.h"
 #include "tests/test_data.h"
@@ -464,6 +465,50 @@ TEST(IngestTest, EngineCacheFollowsEpochBumps) {
   auto deleted = engine.ExecuteText(query, opts, nullptr);
   ASSERT_TRUE(deleted.ok()) << deleted.status();
   EXPECT_EQ((*deleted)->row_count(), 1u);
+}
+
+TEST(IngestTest, RenderedLabelsComeFromTheQuerysEpoch) {
+  LiveFixture fx;
+  engine::QueryEngine engine(*fx.store);
+  const char* query =
+      "SELECT DISTINCT ?dest WHERE { ?o <http://test/countryDestination> "
+      "?dest }";
+  auto labels = [](const sparql::ResultTable& t) {
+    std::vector<std::string> out;
+    for (size_t r = 0; r < t.row_count(); ++r) {
+      out.push_back(t.CellToString(t.at(r, 0)));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  auto before = engine.ExecuteText(query);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(labels(**before),
+            (std::vector<std::string>{"France", "Germany"}));
+
+  // Relabel Germany in two later epochs.
+  const std::string germany = "<http://test/dest/germany> <" +
+                              std::string(testing::kLabelIri) + "> ";
+  EXPECT_EQ(fx.MustIngest(germany + "\"Germany\" .\n", IngestOp::kDelete)
+                .deleted,
+            1u);
+  EXPECT_EQ(fx.MustIngest(germany + "\"Deutschland\" .\n").added, 1u);
+
+  // The table executed before the relabel still shows its own epoch's
+  // label, as text and as JSON.
+  EXPECT_EQ(labels(**before),
+            (std::vector<std::string>{"France", "Germany"}));
+  std::string json;
+  sparql::AppendTableJson(**before, /*limit=*/0, &json);
+  EXPECT_NE(json.find("\"Germany\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("Deutschland"), std::string::npos) << json;
+
+  // Re-querying executes at the new epoch and shows the new label.
+  auto after = engine.ExecuteText(query);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_NE(after->get(), before->get());
+  EXPECT_EQ(labels(**after),
+            (std::vector<std::string>{"Deutschland", "France"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -425,6 +425,30 @@ TEST_F(QueryLogTest, RingIsBoundedWithMonotoneIds) {
   }
 }
 
+TEST_F(QueryLogTest, ReconfigureRestartsTheRingAtSlotZero) {
+  // Fill part of the ring so every shard's write head has moved, then
+  // reconfigure: records appended afterwards must all be retained.
+  auto append = [](int n) {
+    for (int i = 0; i < n; ++i) {
+      QueryRecord rec;
+      rec.op = QueryOp::kSparqlExecute;
+      QueryLog::Global().Append(rec);
+    }
+  };
+  append(7);
+  ASSERT_EQ(QueryLog::Global().Snapshot().size(), 7u);
+
+  QueryLog::Global().Configure(QueryLogConfig{});
+  EXPECT_TRUE(QueryLog::Global().Snapshot().empty());
+  const uint64_t before = QueryLog::Global().total_appended();
+  append(3);
+  std::vector<QueryRecord> recs = QueryLog::Global().Snapshot();
+  ASSERT_EQ(recs.size(), 3u);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].id, before + 1 + i);
+  }
+}
+
 TEST_F(QueryLogTest, DisabledRecorderAppendsNothing) {
   QueryLog::Global().SetEnabled(false);
   engine::QueryEngine engine(*store);

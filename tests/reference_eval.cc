@@ -269,7 +269,7 @@ util::Result<std::vector<SelectItem>> Projection(const SelectQuery& query,
 
 /// Exact identity of a cell, for DISTINCT.
 std::tuple<int, rdf::TermId, double> Identity(const Cell& c) {
-  return {static_cast<int>(c.kind), c.term, c.number};
+  return {static_cast<int>(c.kind), c.term, c.is_number() ? c.number : 0.0};
 }
 
 }  // namespace
@@ -277,7 +277,7 @@ std::tuple<int, rdf::TermId, double> Identity(const Cell& c) {
 util::Result<sparql::ResultTable> ReferenceEvaluate(
     const rdf::TripleStore& store, const SelectQuery& query) {
   if (query.is_ask) {
-    sparql::ResultTable table(&store, {"ask"});
+    sparql::ResultTable table(&store.dictionary(), {"ask"});
     const bool any = !Solutions(store, NumberVariables(query), query).empty();
     table.AddRow({Cell::OfNumber(any ? 1.0 : 0.0)});
     return table;
@@ -288,7 +288,7 @@ util::Result<sparql::ResultTable> ReferenceEvaluate(
                         Projection(query, vars, aggregating));
   std::vector<std::string> columns;
   for (const SelectItem& item : items) columns.push_back(item.OutputName());
-  sparql::ResultTable table(&store, columns);
+  sparql::ResultTable table(&store.dictionary(), columns);
 
   const std::vector<Binding> solutions = Solutions(store, vars, query);
   std::vector<Row> rows;

@@ -183,6 +183,59 @@ TEST_F(ServerTest, QueryExecutesSparqlOverSharedEngine) {
   EXPECT_NE(limited->body.find("\"truncated\": true"), std::string::npos);
 }
 
+/// A /query or /session execute body without its per-request "stats"
+/// member.
+std::string WithoutStats(const std::string& body) {
+  const size_t at = body.rfind(", \"stats\": {");
+  return at == std::string::npos ? body : body.substr(0, at);
+}
+
+TEST_F(ServerTest, CachedQueryBodyRepeatsTheFirstRenderByteForByte) {
+  HttpClient client = StartServer();
+  auto miss = client.Post("/query", kObsQuery);
+  auto hit = client.Post("/query", kObsQuery);
+  ASSERT_TRUE(miss.ok() && hit.ok());
+  ASSERT_EQ(miss->status, 200);
+  ASSERT_EQ(hit->status, 200);
+  EXPECT_EQ(engine_->cache_stats().result_hits, 1u);
+  EXPECT_EQ(WithoutStats(hit->body), WithoutStats(miss->body));
+  EXPECT_EQ(hit->body.substr(WithoutStats(hit->body).size()),
+            ", \"stats\": {\"exec_millis\": 0, \"plan_millis\": 0, "
+            "\"triples_scanned\": 0, \"intermediate_bindings\": 0}}\n");
+
+  // ?limit=2 is exactly the first two rows of the full body.
+  auto limited = client.Post("/query?limit=2", kObsQuery);
+  ASSERT_TRUE(limited.ok());
+  ASSERT_EQ(limited->status, 200);
+  const std::string full = WithoutStats(miss->body);
+  const std::string rows_key = "\"rows\": [";
+  const size_t rows_at = full.find(rows_key) + rows_key.size();
+  const size_t second_row_end = full.find("], [", full.find("], [", rows_at) + 1);
+  ASSERT_NE(second_row_end, std::string::npos);
+  std::string expected = full.substr(0, second_row_end + 1) + "]";
+  const std::string untruncated = "\"truncated\": false";
+  ASSERT_NE(expected.find(untruncated), std::string::npos);
+  expected.replace(expected.find(untruncated), untruncated.size(),
+                   "\"truncated\": true");
+  EXPECT_EQ(WithoutStats(limited->body), expected);
+}
+
+TEST_F(ServerTest, SessionExecuteOnACachedStateRepeatsItsFirstRender) {
+  HttpClient client = StartServer();
+  auto created = client.Post("/session", "");
+  ASSERT_TRUE(created.ok());
+  ASSERT_EQ(created->status, 200);
+  ASSERT_EQ(client.Post("/session/s-1/start", "Germany\n2014\n")->status, 200);
+  ASSERT_EQ(client.Post("/session/s-1/pick?index=0", "")->status, 200);
+  auto first = client.Post("/session/s-1/execute", "");
+  auto again = client.Post("/session/s-1/execute", "");
+  ASSERT_TRUE(first.ok() && again.ok());
+  ASSERT_EQ(first->status, 200) << first->body;
+  EXPECT_NE(first->body.find("\"Germany\""), std::string::npos)
+      << first->body;
+  EXPECT_EQ(again->body, first->body);
+}
+
 TEST_F(ServerTest, ErrorTaxonomyMapsStatusesToHttpCodes) {
   HttpClient client = StartServer();
   // Parse error -> 400 with the typed code in the body.

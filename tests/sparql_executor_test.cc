@@ -821,7 +821,7 @@ namespace {
 TEST(CsvTest, WritesHeaderAndQuotedCells) {
   rdf::TripleStore store;
   store.Freeze();
-  ResultTable t(&store, {"name", "value"});
+  ResultTable t(&store.dictionary(), {"name", "value"});
   Row r1;
   r1.push_back(Cell::OfNumber(2.5));
   r1.push_back(Cell::Null());
@@ -836,7 +836,7 @@ TEST(CsvTest, EscapesCommasAndQuotes) {
   rdf::TermId lit =
       store.Intern(rdf::Term::StringLiteral("a,\"b\"\nc"));
   store.Freeze();
-  ResultTable t(&store, {"x"});
+  ResultTable t(&store.dictionary(), {"x"});
   Row r;
   r.push_back(Cell::OfTerm(lit));
   t.AddRow(r);
