@@ -122,7 +122,7 @@ import json, sys
 
 required = {
     "id", "op", "fingerprint", "epoch", "cache", "status",
-    "degraded", "retries", "rows", "scanned", "bindings", "plan_ms",
+    "degraded", "rows", "scanned", "bindings", "plan_ms",
     "exec_ms", "total_ms", "start_us",
 }
 n = 0

@@ -1,9 +1,8 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
-#include <thread>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -12,6 +11,7 @@
 #include "sparql/ast.h"
 #include "sparql/explain.h"
 #include "sparql/parser.h"
+#include "sparql/post_ops.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -26,9 +26,10 @@ struct EngineMetrics {
   obs::Counter& result_hits;
   obs::Counter& result_misses;
   obs::Counter& result_evictions;
-  obs::Counter& retries;
+  obs::Counter& result_derived;
   obs::Histogram& hit_millis;
   obs::Histogram& miss_millis;
+  obs::Histogram& derived_millis;
 
   static EngineMetrics& Get() {
     auto& reg = obs::MetricsRegistry::Global();
@@ -39,9 +40,10 @@ struct EngineMetrics {
         reg.GetCounter("engine.result_cache.hits"),
         reg.GetCounter("engine.result_cache.misses"),
         reg.GetCounter("engine.result_cache.evictions"),
-        reg.GetCounter("engine.retries"),
+        reg.GetCounter("engine.result_cache.derived"),
         reg.GetHistogram("engine.execute.hit.millis"),
         reg.GetHistogram("engine.execute.miss.millis"),
+        reg.GetHistogram("engine.execute.derived.millis"),
     };
     return m;
   }
@@ -67,11 +69,10 @@ std::string CacheKey(const std::string& normalized_query,
 /// qualifies for slow capture.
 void FinishRecord(obs::QueryRecordScope& record,
                   const sparql::ExecStats* stats, util::StatusCode code,
-                  int retries, uint64_t rows) {
+                  uint64_t rows) {
   if (!record.active()) return;
   obs::QueryRecord& rec = record.rec();
   rec.status = static_cast<uint8_t>(code);
-  rec.retries = static_cast<uint32_t>(retries);
   rec.rows_out = rows;
   if (stats != nullptr) {
     rec.triples_scanned = stats->triples_scanned;
@@ -143,7 +144,7 @@ EngineCacheStats QueryEngine::cache_stats() const {
   s.plan_evictions = plan_evictions_.load(std::memory_order_relaxed);
   s.result_hits = result_hits_.load(std::memory_order_relaxed);
   s.result_misses = result_misses_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
+  s.result_derived = result_derived_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(plan_mu_);
     s.plan_entries = plan_lru_.size();
@@ -338,12 +339,43 @@ util::Result<TableHandle> QueryEngine::Execute(
     result_misses_.fetch_add(1, std::memory_order_relaxed);
     metrics.result_misses.Inc();
   }
-  span.SetAttr("cache", use_result_cache ? "miss" : "bypass");
   if (record.active()) {
     record.rec().cache =
         use_result_cache ? obs::CacheOutcome::kMiss : obs::CacheOutcome::kBypass;
     record.SetQueryText(std::move(normalized));
   }
+
+  // Fault-injection site of the work proper (derived or executed). The
+  // guard is checked again after it: a request cancelled or expired
+  // during an injected delay must not start work — the executor's own
+  // polling only fires every few batches, too late for small queries.
+  util::Status ready = util::FailpointStatus("engine.execute");
+  if (ready.ok() && options.guard != nullptr) ready = options.guard->Check();
+  if (!ready.ok()) {
+    span.SetAttr("cache", use_result_cache ? "miss" : "bypass");
+    span.SetAttr("status", util::StatusCodeToString(ready.code()));
+    FinishRecord(record, stats, ready.code(), /*rows=*/0);
+    return ready;
+  }
+
+  if (use_result_cache) {
+    util::Result<TableHandle> derived =
+        Derive(query, options, epoch, key, record, stats);
+    if (!derived.ok()) {
+      span.SetAttr("cache", "derived");
+      span.SetAttr("status",
+                   util::StatusCodeToString(derived.status().code()));
+      return derived;
+    }
+    if (const TableHandle& table = derived.value()) {
+      metrics.derived_millis.Observe(timer.ElapsedMillis());
+      span.SetAttr("cache", "derived");
+      span.SetAttr("rows", static_cast<uint64_t>(table->rows().size()));
+      span.SetAttr("status", "OK");
+      return table;
+    }
+  }
+  span.SetAttr("cache", use_result_cache ? "miss" : "bypass");
 
   // From here on a stats sink is always present when the recorder is
   // active, so slow and guard-tripped runs carry an operator tree.
@@ -369,8 +401,7 @@ util::Result<TableHandle> QueryEngine::Execute(
       if (!planned.ok()) {
         span.SetAttr("status",
                      util::StatusCodeToString(planned.status().code()));
-        FinishRecord(record, stats, planned.status().code(), /*retries=*/0,
-                     /*rows=*/0);
+        FinishRecord(record, stats, planned.status().code(), /*rows=*/0);
         return planned.status();
       }
       if (stats != nullptr) stats->plan_millis = plan_timer.ElapsedMillis();
@@ -379,45 +410,12 @@ util::Result<TableHandle> QueryEngine::Execute(
     }
   }
 
-  // Execution proper, with bounded retry on transient (kUnavailable)
-  // failures — including those injected via the `engine.execute`
-  // failpoint. The cache lookups and planning above run exactly once per
-  // logical Execute, so hit/miss counters are unaffected by retries.
-  util::Result<sparql::ResultTable> executed = util::Status::Internal("");
-  int attempt = 0;
-  for (;; ++attempt) {
-    util::Status fp = util::FailpointStatus("engine.execute");
-    // Re-check the guard per attempt: a request cancelled or expired
-    // while this loop slept (injected delay, retry backoff) must not
-    // start another execution — the executor's own polling only fires
-    // every few batches, too late for small queries.
-    if (options.guard != nullptr) {
-      if (util::Status st = options.guard->Check(); !st.ok()) {
-        executed = st;
-        break;
-      }
-    }
-    if (!fp.ok()) {
-      executed = fp;
-    } else if (plan != nullptr) {
-      executed = sparql::Execute(store_, query, *plan, options, stats);
-    } else {
-      executed = sparql::Execute(store_, query, options, stats);
-    }
-    if (executed.ok() || !executed.status().IsUnavailable() ||
-        attempt >= config_.max_transient_retries) {
-      break;
-    }
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    metrics.retries.Inc();
-    if (config_.retry_backoff_millis > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          config_.retry_backoff_millis << attempt));
-    }
-  }
+  util::Result<sparql::ResultTable> executed =
+      plan != nullptr ? sparql::Execute(store_, query, *plan, options, stats)
+                      : sparql::Execute(store_, query, options, stats);
   if (!executed.ok()) {
     span.SetAttr("status", util::StatusCodeToString(executed.status().code()));
-    FinishRecord(record, stats, executed.status().code(), attempt, /*rows=*/0);
+    FinishRecord(record, stats, executed.status().code(), /*rows=*/0);
     return executed.status();
   }
 
@@ -429,9 +427,43 @@ util::Result<TableHandle> QueryEngine::Execute(
   metrics.miss_millis.Observe(timer.ElapsedMillis());
   span.SetAttr("rows", static_cast<uint64_t>(handle->rows().size()));
   span.SetAttr("status", "OK");
-  FinishRecord(record, stats, util::StatusCode::kOk, attempt,
-               handle->rows().size());
+  FinishRecord(record, stats, util::StatusCode::kOk, handle->rows().size());
   return TableHandle(handle);
+}
+
+util::Result<TableHandle> QueryEngine::Derive(const sparql::SelectQuery& query,
+                                              const sparql::ExecOptions& options,
+                                              uint64_t epoch,
+                                              const std::string& key,
+                                              obs::QueryRecordScope& record,
+                                              sparql::ExecStats* stats) {
+  std::optional<sparql::RefinementSplit> split =
+      sparql::SplitRefinement(query);
+  if (!split.has_value()) return TableHandle();
+  const TableHandle core = ResultLookup(
+      CacheKey(sparql::ToSparql(split->core), options, epoch), nullptr);
+  if (core == nullptr) return TableHandle();
+
+  // `core` stays alive through this handle even if it is evicted
+  // meanwhile; it is only read, and only the surviving rows are copied.
+  auto derived = std::make_shared<sparql::ResultTable>(core->dictionary(),
+                                                       core->columns());
+  std::vector<sparql::PostOpProf> post_ops;
+  util::Status st = sparql::ApplyPostOps(store_, split->residual,
+                                         derived.get(), &post_ops,
+                                         options.guard, core.get());
+  result_derived_.fetch_add(1, std::memory_order_relaxed);
+  EngineMetrics::Get().result_derived.Inc();
+  // Like a hit, a derivation scans nothing and plans nothing.
+  if (stats != nullptr) *stats = sparql::ExecStats{};
+  if (record.active()) record.rec().cache = obs::CacheOutcome::kDerived;
+  if (!st.ok()) {
+    FinishRecord(record, nullptr, st.code(), /*rows=*/0);
+    return st;
+  }
+  ResultInsert(key, derived, record.rec().fingerprint);
+  FinishRecord(record, nullptr, util::StatusCode::kOk, derived->rows().size());
+  return TableHandle(derived);
 }
 
 util::Result<TableHandle> QueryEngine::ExecuteText(

@@ -18,6 +18,10 @@
 #include "storage/snapshot.h"
 #include "util/result.h"
 
+namespace re2xolap::obs {
+class QueryRecordScope;
+}  // namespace re2xolap::obs
+
 namespace re2xolap::engine {
 
 class QueryEngine;
@@ -47,13 +51,6 @@ struct EngineConfig {
   /// the byte budget and its own LRU list, so concurrent validation
   /// threads rarely contend on one mutex.
   size_t result_cache_shards = 4;
-  /// Bounded retry for transient (kUnavailable) execution failures: total
-  /// attempts = 1 + max_transient_retries. 0 disables retry. Cache
-  /// lookups and planning are not repeated — only the execution proper.
-  int max_transient_retries = 2;
-  /// Backoff before retry k is `retry_backoff_millis << (k-1)` (simple
-  /// exponential). 0 retries immediately.
-  uint64_t retry_backoff_millis = 1;
 };
 
 /// Point-in-time counters of one engine instance (global metrics aggregate
@@ -65,7 +62,7 @@ struct EngineCacheStats {
   uint64_t result_hits = 0;
   uint64_t result_misses = 0;
   uint64_t result_evictions = 0;
-  uint64_t retries = 0;  // transient-failure re-executions
+  uint64_t result_derived = 0;  // misses answered from a cached core
   size_t plan_entries = 0;
   size_t result_entries = 0;
   size_t result_bytes = 0;  // resident cost estimate across shards,
@@ -102,14 +99,21 @@ struct EngineCacheStats {
 /// must observe a real execution. On a result-cache hit the ExecStats
 /// sink is zeroed — a hit scans nothing and plans nothing.
 ///
+/// Derivation: an exact-key miss whose query splits into a core and a
+/// residual (sparql::SplitRefinement) looks the core up under the same
+/// epoch. When it is cached, the residual's post-join operators run over
+/// the core's table and the result is admitted under the query's own
+/// key, bit-identical to executing it (DESIGN.md §20). The exact lookup
+/// still counts one miss; the derivation counts in `result_derived`.
+/// Otherwise the query executes exactly as it would without derivation,
+/// so no request does more work than a plain execution.
+///
 /// Robustness: an ExecOptions::guard is checked once on entry (an already
 /// expired/cancelled request does no work, not even a cache probe) and
 /// then enforced by the executor; guard violations are errors and are
-/// therefore never cached. Transient (kUnavailable) execution failures —
-/// including those injected via the `engine.execute` failpoint — are
-/// retried up to EngineConfig::max_transient_retries times with
-/// exponential backoff; cache counters still count once per logical
-/// Execute because only the execution proper is repeated.
+/// therefore never cached. Failures — including kUnavailable injected
+/// via the `engine.execute` failpoint — surface to the caller as typed
+/// errors; the engine does not retry.
 class QueryEngine {
  public:
   explicit QueryEngine(const rdf::TripleStore& store,
@@ -204,6 +208,16 @@ class QueryEngine {
   /// keeping at least one.
   static void EvictOverBudgetLocked(ResultShard& shard);
 
+  /// Answers an exact-key miss from its cached core (see Derivation
+  /// above) and admits the result under `key`. A null handle means the
+  /// query does not split or its core is not cached; the caller then
+  /// executes it.
+  util::Result<TableHandle> Derive(const sparql::SelectQuery& query,
+                                   const sparql::ExecOptions& options,
+                                   uint64_t epoch, const std::string& key,
+                                   obs::QueryRecordScope& record,
+                                   sparql::ExecStats* stats);
+
   const rdf::TripleStore& store_;
   const EngineConfig config_;
 
@@ -220,7 +234,7 @@ class QueryEngine {
   // Per-instance counters (relaxed; exact under the test's sync points).
   std::atomic<uint64_t> plan_hits_{0}, plan_misses_{0}, plan_evictions_{0};
   std::atomic<uint64_t> result_hits_{0}, result_misses_{0};
-  std::atomic<uint64_t> retries_{0};
+  std::atomic<uint64_t> result_derived_{0};
 };
 
 /// Estimated resident bytes of a materialized table (container overheads

@@ -79,6 +79,8 @@ const char* CacheOutcomeName(CacheOutcome outcome) {
       return "miss";
     case CacheOutcome::kBypass:
       return "bypass";
+    case CacheOutcome::kDerived:
+      return "derived";
   }
   return "?";
 }
@@ -283,7 +285,6 @@ std::string QueryLog::ToJsonLine(const QueryRecord& rec) {
   line += RecordStatusName(rec.status);
   line += "\", \"degraded\": ";
   line += rec.degraded ? "true" : "false";
-  line += ", \"retries\": " + std::to_string(rec.retries);
   line += ", \"rows\": " + std::to_string(rec.rows_out);
   line += ", \"scanned\": " + std::to_string(rec.triples_scanned);
   line += ", \"bindings\": " + std::to_string(rec.intermediate_bindings);
@@ -325,8 +326,8 @@ struct OpAggregate {
   uint64_t errors = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  uint64_t cache_derived = 0;
   uint64_t degraded = 0;
-  uint64_t retries = 0;
   double total_millis = 0;
   double max_millis = 0;
 };
@@ -420,8 +421,8 @@ void QueryLog::WriteIntrospectionReport(std::ostream& os, size_t top_n) const {
     if (r.status != 0) ++by_status[r.status], ++agg.errors;
     if (r.cache == CacheOutcome::kHit) ++agg.cache_hits;
     if (r.cache == CacheOutcome::kMiss) ++agg.cache_misses;
+    if (r.cache == CacheOutcome::kDerived) ++agg.cache_derived;
     if (r.degraded) ++agg.degraded;
-    agg.retries += r.retries;
     agg.total_millis += r.total_millis;
     agg.max_millis = std::max(agg.max_millis, r.total_millis);
     ++by_epoch[r.freeze_epoch];
@@ -433,15 +434,16 @@ void QueryLog::WriteIntrospectionReport(std::ostream& os, size_t top_n) const {
     if (agg.count == 0) continue;
     os << "  " << QueryOpName(static_cast<QueryOp>(i)) << ": " << agg.count
        << " calls, " << agg.errors << " errors";
-    const uint64_t probes = agg.cache_hits + agg.cache_misses;
+    const uint64_t probes =
+        agg.cache_hits + agg.cache_misses + agg.cache_derived;
     if (probes > 0) {
       os << ", cache hit " << agg.cache_hits << "/" << probes << " ("
          << FormatMillis(100.0 * static_cast<double>(agg.cache_hits) /
                          static_cast<double>(probes))
        << "%)";
     }
+    if (agg.cache_derived > 0) os << ", derived " << agg.cache_derived;
     if (agg.degraded > 0) os << ", degraded " << agg.degraded;
-    if (agg.retries > 0) os << ", retries " << agg.retries;
     os << ", avg "
        << FormatMillis(agg.total_millis / static_cast<double>(agg.count))
        << " ms, max " << FormatMillis(agg.max_millis) << " ms\n";

@@ -62,8 +62,9 @@ const char* QueryOpName(QueryOp op);
 
 /// Result-cache outcome of one execution. kNone: the operation has no
 /// cache (sessions, snapshots, direct sparql::Execute); kBypass: caching
-/// was disabled or deliberately skipped (profiled runs).
-enum class CacheOutcome : uint8_t { kNone = 0, kHit, kMiss, kBypass };
+/// was disabled or deliberately skipped (profiled runs); kDerived: an
+/// exact-key miss answered from its cached core's group table.
+enum class CacheOutcome : uint8_t { kNone = 0, kHit, kMiss, kBypass, kDerived };
 const char* CacheOutcomeName(CacheOutcome outcome);
 
 /// Mirror of util::StatusCodeToString for the status byte stored in
@@ -84,7 +85,6 @@ struct QueryRecord {
   CacheOutcome cache = CacheOutcome::kNone;
   uint8_t status = 0;        // util::StatusCode value; 0 = OK
   bool degraded = false;     // partial answer (graceful degradation)
-  uint32_t retries = 0;      // transient-failure re-executions
   uint64_t rows_out = 0;
   uint64_t triples_scanned = 0;
   uint64_t intermediate_bindings = 0;

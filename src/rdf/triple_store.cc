@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <string_view>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -344,8 +345,7 @@ thread_local std::vector<PinFrame> t_pin_stack;
 
 TripleStore::ReadPin::ReadPin(const TripleStore& store) {
   if (!store.live()) return;
-  t_pin_stack.push_back(
-      {&store, store.chain_.load(std::memory_order_acquire)});
+  t_pin_stack.push_back({&store, store.LatestChain()});
   store_ = &store;
 }
 
@@ -360,7 +360,12 @@ std::shared_ptr<const EpochChain> TripleStore::PinnedChain() const {
   for (auto it = t_pin_stack.rbegin(); it != t_pin_stack.rend(); ++it) {
     if (it->store == this) return it->chain;
   }
-  return chain_.load(std::memory_order_acquire);
+  return LatestChain();
+}
+
+std::shared_ptr<const EpochChain> TripleStore::LatestChain() const {
+  std::lock_guard<std::mutex> lock(chain_mu_);
+  return chain_;
 }
 
 std::shared_ptr<const EpochChain> TripleStore::live_chain() const {
@@ -384,8 +389,10 @@ void TripleStore::EnterLive() {
   chain->visible_triples = ClassicSize();
   chain->stats = stats_;
   UpdateChainGauges(*chain);
-  chain_.store(std::shared_ptr<const EpochChain>(std::move(chain)),
-               std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(chain_mu_);
+    chain_ = std::move(chain);
+  }
   live_.store(true, std::memory_order_release);
 }
 
@@ -393,7 +400,13 @@ void TripleStore::PublishChain(std::shared_ptr<const EpochChain> chain) {
   assert(live() && "PublishChain() requires EnterLive()");
   assert(chain != nullptr);
   UpdateChainGauges(*chain);
-  chain_.store(std::move(chain), std::memory_order_release);
+  std::shared_ptr<const EpochChain> previous;
+  {
+    std::lock_guard<std::mutex> lock(chain_mu_);
+    previous = std::exchange(chain_, std::move(chain));
+  }
+  // `previous` (possibly the last owner of an old chain) is released
+  // outside the lock.
 }
 
 void TripleStore::RestoreChain(

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -146,9 +147,13 @@ class TripleStore {
   bool live() const { return live_.load(std::memory_order_acquire); }
 
   /// The chain the calling thread should read: the innermost ReadPin's
-  /// chain when one is active on this thread, else a fresh atomic load of
-  /// the latest published chain. Null on non-live stores.
+  /// chain when one is active on this thread, else a copy of the latest
+  /// published chain. Null on non-live stores.
   std::shared_ptr<const EpochChain> live_chain() const;
+
+  /// The latest published chain, ignoring any ReadPin on this thread
+  /// (null before EnterLive).
+  std::shared_ptr<const EpochChain> LatestChain() const;
 
   /// Atomically replaces the current chain (ingest batch publication,
   /// compaction). In-flight readers keep serving their pinned chain; new
@@ -436,10 +441,13 @@ class TripleStore {
   IndexFormat format_ = IndexFormat::kRaw;
   bool frozen_ = false;
   uint64_t freeze_epoch_ = 0;
-  // Live-mode state (EnterLive): the current epoch chain, replaced
-  // atomically by every publication. live_ flips true exactly once.
+  // Live-mode state (EnterLive): the current epoch chain, replaced under
+  // chain_mu_ by every publication and copied out under it (LatestChain),
+  // once per ReadPin. live_ flips true exactly once, after the first
+  // chain is in place; frozen stores never touch chain_.
   std::atomic<bool> live_{false};
-  std::atomic<std::shared_ptr<const EpochChain>> chain_;
+  mutable std::mutex chain_mu_;
+  std::shared_ptr<const EpochChain> chain_;
   mutable std::atomic<int> active_readers_{0};
 };
 

@@ -1,5 +1,6 @@
 #include "sparql/ast.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace re2xolap::sparql {
@@ -98,7 +99,71 @@ void ExprToString(const Expr& e, std::ostringstream& os) {
   }
 }
 
+/// True when every variable `e` names satisfies `is_key`.
+template <typename Pred>
+bool OnlyNames(const Expr& e, const Pred& is_key) {
+  switch (e.kind) {
+    case ExprKind::kVariable:
+    case ExprKind::kIn:
+    case ExprKind::kBound:
+      if (!is_key(e.var.name)) return false;
+      break;
+    default:
+      break;
+  }
+  for (const ExprPtr& c : e.children) {
+    if (!OnlyNames(*c, is_key)) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+std::optional<RefinementSplit> SplitRefinement(const SelectQuery& query) {
+  if (query.is_ask || query.select_all || query.group_by.empty() ||
+      !query.has_aggregates() || !query.optional_blocks.empty()) {
+    return std::nullopt;
+  }
+  // A HAVING variable names the first output column of that name, so a
+  // key qualifies only when that column is the key itself (not an
+  // aggregate aliased to the key's name).
+  auto is_key = [&](const std::string& name) {
+    auto grouped = [&](const Variable& g) { return g.name == name; };
+    if (std::none_of(query.group_by.begin(), query.group_by.end(), grouped)) {
+      return false;
+    }
+    for (const SelectItem& it : query.items) {
+      if (it.OutputName() == name) {
+        return !it.is_aggregate && it.var.name == name;
+      }
+    }
+    return false;
+  };
+  RefinementSplit split;
+  split.core = query;
+  split.core.filters.clear();
+  for (const ExprPtr& f : query.filters) {
+    (OnlyNames(*f, is_key) ? split.residual.having : split.core.filters)
+        .push_back(f);
+  }
+  split.residual.having.insert(split.residual.having.end(),
+                               query.having.begin(), query.having.end());
+  split.residual.distinct = query.distinct;
+  split.residual.order_by = query.order_by;
+  split.residual.limit = query.limit;
+  split.residual.offset = query.offset;
+  if (split.residual.having.empty() && !query.distinct &&
+      query.order_by.empty() && !query.limit.has_value() &&
+      query.offset == 0) {
+    return std::nullopt;
+  }
+  split.core.having.clear();
+  split.core.distinct = false;
+  split.core.order_by.clear();
+  split.core.limit.reset();
+  split.core.offset = 0;
+  return split;
+}
 
 std::string ToSparql(const Expr& expr) {
   std::ostringstream os;

@@ -179,6 +179,30 @@ std::string ToSparql(const SelectQuery& query);
 /// Renders a single expression as SPARQL filter text.
 std::string ToSparql(const Expr& expr);
 
+/// A grouped query cut into the part that builds its group table (the
+/// core) and the part that only keeps, orders and slices whole groups
+/// (the residual). Running `residual`'s post-join operators
+/// (ApplyPostOps) over the core's result table yields the query's own
+/// result, bit for bit (DESIGN.md §20).
+struct RefinementSplit {
+  /// The query without its lifted FILTERs, HAVING, DISTINCT, ORDER BY and
+  /// LIMIT/OFFSET.
+  SelectQuery core;
+  /// Only the post-join fields are set: `having` holds the lifted FILTERs
+  /// first, then the query's HAVING; `distinct`, `order_by`, `limit` and
+  /// `offset` are the query's.
+  SelectQuery residual;
+};
+
+/// Splits `query` when it has a non-empty GROUP BY and an aggregate, no
+/// OPTIONAL, and is neither ASK nor SELECT *. A FILTER is lifted into the
+/// residual when every variable it names is a GROUP BY key projected
+/// under its own name: such a filter keeps or drops whole groups, so it
+/// is equivalent to a HAVING conjunct. Every other FILTER stays in the
+/// core. Returns nullopt when the query does not qualify or its residual
+/// is empty (the query is its own core).
+std::optional<RefinementSplit> SplitRefinement(const SelectQuery& query);
+
 }  // namespace re2xolap::sparql
 
 #endif  // RE2XOLAP_SPARQL_AST_H_

@@ -15,10 +15,11 @@
 namespace re2xolap::sparql {
 
 /// Plan-time resolution of a filter expression's variable names to binding
-/// slots, which CompiledFilter::Compile reads. The keys point at the
-/// `Expr::var.name` strings of the very expression tree the plan holds
-/// alive, so the common lookup is a pointer compare; the value compare is
-/// a fallback for callers that pass an equal string from elsewhere.
+/// slots, which CompiledFilter::Compile reads (HAVING uses it the same way
+/// for output columns). The keys point at the `Expr::var.name` strings of
+/// the very expression tree the caller holds alive, so the common lookup
+/// is a pointer compare over all entries; the value compare is a fallback
+/// for callers that pass an equal string from elsewhere.
 class FilterSlots {
  public:
   void Add(const std::string* name, int slot) {
@@ -26,7 +27,10 @@ class FilterSlots {
   }
   int SlotOf(const std::string& name) const {
     for (const auto& [key, slot] : entries_) {
-      if (key == &name || *key == name) return slot;
+      if (key == &name) return slot;
+    }
+    for (const auto& [key, slot] : entries_) {
+      if (*key == name) return slot;
     }
     return -1;
   }

@@ -388,19 +388,7 @@ util::Result<ResultTable> ExecutePlanImpl(const rdf::TripleStore& store,
     }
 
     RE2X_RETURN_IF_ERROR(
-        ApplyHaving(store, query, &table, &post_ops, options.guard));
-    if (query.distinct) {
-      RE2X_RETURN_IF_ERROR(
-          ApplyDistinct(store, &table, &post_ops, options.guard));
-    }
-    if (!query.order_by.empty()) {
-      RE2X_RETURN_IF_ERROR(
-          ApplyOrderBy(store, query, &table, &post_ops, options.guard));
-    }
-    if (query.offset > 0 || query.limit.has_value()) {
-      RE2X_RETURN_IF_ERROR(
-          ApplyLimitOffset(query, &table, &post_ops, options.guard));
-    }
+        ApplyPostOps(store, query, &table, &post_ops, options.guard));
     // Labels are read here, under the caller's pin, so they come from the
     // epoch the rows come from; rendering then only reads the dictionary.
     ResolveDisplayTerms(store, &table);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "sparql/compiled_filter.h"
 #include "sparql/ebv.h"
 #include "util/timer.h"
 
@@ -304,24 +305,53 @@ util::Result<size_t> GroupAggregator::Emit(
   return group_count_;
 }
 
+namespace {
+
+/// Records the output column of every variable occurrence in `e`, keyed
+/// by the address of the name inside the tree (EvalExpr passes that very
+/// string to its lookup).
+void ResolveColumns(const Expr& e, const ResultTable& table,
+                    FilterSlots* out) {
+  switch (e.kind) {
+    case ExprKind::kVariable:
+    case ExprKind::kIn:
+    case ExprKind::kBound:
+      out->Add(&e.var.name, table.ColumnIndex(e.var.name));
+      break;
+    default:
+      break;
+  }
+  for (const ExprPtr& c : e.children) ResolveColumns(*c, table, out);
+}
+
+/// HAVING. Reads `source`'s rows when given (copying the kept ones into
+/// `table`), else filters `table`'s rows in place.
 util::Status ApplyHaving(const rdf::TripleStore& store,
                          const SelectQuery& query, ResultTable* table,
+                         const ResultTable* source,
                          std::vector<PostOpProf>* post_ops,
                          const util::ExecGuard* guard) {
-  if (query.having.empty()) return util::Status::OK();
   if (guard != nullptr) RE2X_RETURN_IF_ERROR(guard->Check());
   util::WallTimer op_timer;
-  std::vector<Row>& rows = table->mutable_rows();
+  // Columns are resolved once per call, not once per row and variable.
+  const ResultTable& in = source != nullptr ? *source : *table;
+  FilterSlots columns;
+  for (const ExprPtr& h : query.having) ResolveColumns(*h, in, &columns);
+  const std::vector<Row>& rows = in.rows();
+  // In place, kept rows move out of the vector the result replaces.
+  std::vector<Row>* movable =
+      source == nullptr ? &table->mutable_rows() : nullptr;
   const uint64_t rows_in = rows.size();
   std::vector<Row> kept;
-  kept.reserve(rows.size());
+  if (movable != nullptr) kept.reserve(rows.size());
   uint64_t polls = 0;
-  for (Row& row : rows) {
+  for (size_t r = 0; r < rows.size(); ++r) {
     if (guard != nullptr && ++polls % kGuardPollInterval == 0) {
       RE2X_RETURN_IF_ERROR(guard->Check());
     }
+    const Row& row = rows[r];
     auto lookup = [&](const std::string& name) -> Cell {
-      int idx = table->ColumnIndex(name);
+      const int idx = columns.SlotOf(name);
       return idx < 0 ? Cell::Null() : row[idx];
     };
     bool pass = true;
@@ -331,11 +361,16 @@ util::Status ApplyHaving(const rdf::TripleStore& store,
         break;
       }
     }
-    if (pass) kept.push_back(std::move(row));
+    if (!pass) continue;
+    if (movable != nullptr) {
+      kept.push_back(std::move((*movable)[r]));
+    } else {
+      kept.push_back(row);
+    }
   }
-  rows.swap(kept);
-  post_ops->push_back(
-      {"having", rows_in, rows.size(), op_timer.ElapsedMillis()});
+  table->mutable_rows().swap(kept);
+  post_ops->push_back({"having", rows_in, table->rows().size(),
+                       op_timer.ElapsedMillis()});
   return util::Status::OK();
 }
 
@@ -423,6 +458,29 @@ util::Status ApplyLimitOffset(const SelectQuery& query, ResultTable* table,
   rows.swap(sliced);
   post_ops->push_back(
       {"limit/offset", rows_in, rows.size(), op_timer.ElapsedMillis()});
+  return util::Status::OK();
+}
+
+}  // namespace
+
+util::Status ApplyPostOps(const rdf::TripleStore& store,
+                          const SelectQuery& query, ResultTable* table,
+                          std::vector<PostOpProf>* post_ops,
+                          const util::ExecGuard* guard,
+                          const ResultTable* source) {
+  if (!query.having.empty() || source != nullptr) {
+    RE2X_RETURN_IF_ERROR(
+        ApplyHaving(store, query, table, source, post_ops, guard));
+  }
+  if (query.distinct) {
+    RE2X_RETURN_IF_ERROR(ApplyDistinct(store, table, post_ops, guard));
+  }
+  if (!query.order_by.empty()) {
+    RE2X_RETURN_IF_ERROR(ApplyOrderBy(store, query, table, post_ops, guard));
+  }
+  if (query.offset > 0 || query.limit.has_value()) {
+    RE2X_RETURN_IF_ERROR(ApplyLimitOffset(query, table, post_ops, guard));
+  }
   return util::Status::OK();
 }
 

@@ -114,29 +114,22 @@ class GroupAggregator {
   std::vector<rdf::TermId> key_buf_;  // per-row scratch key
 };
 
-/// HAVING: keeps rows whose post-aggregation filters all evaluate to true
-/// (lookups by output column name). Appends one profile record.
-util::Status ApplyHaving(const rdf::TripleStore& store,
-                         const SelectQuery& query, ResultTable* table,
-                         std::vector<PostOpProf>* post_ops,
-                         const util::ExecGuard* guard = nullptr);
-
-/// DISTINCT: sorts rows canonically and drops duplicates.
-util::Status ApplyDistinct(const rdf::TripleStore& store, ResultTable* table,
-                           std::vector<PostOpProf>* post_ops,
-                           const util::ExecGuard* guard = nullptr);
-
-/// ORDER BY: stable-sorts rows by the query's sort keys. Fails when a key
-/// references an unknown output column.
-util::Status ApplyOrderBy(const rdf::TripleStore& store,
+/// The post-join operators of `query`, in order: HAVING (keeps rows whose
+/// post-aggregation filters all evaluate to true; variables name output
+/// columns), DISTINCT (sorts rows canonically, drops duplicates), ORDER BY
+/// (stable sort; fails when a key names an unknown column) and
+/// LIMIT/OFFSET. Operators the query does not use are skipped; each one
+/// that runs appends one profile record.
+///
+/// Without `source` they rewrite `table`'s rows in place. With `source`,
+/// HAVING reads `source`'s rows instead and appends copies of the rows it
+/// keeps to `table` (empty, with `source`'s columns), so a shared cached
+/// table is filtered without being modified or copied whole.
+util::Status ApplyPostOps(const rdf::TripleStore& store,
                           const SelectQuery& query, ResultTable* table,
                           std::vector<PostOpProf>* post_ops,
-                          const util::ExecGuard* guard = nullptr);
-
-/// OFFSET / LIMIT: slices the row window.
-util::Status ApplyLimitOffset(const SelectQuery& query, ResultTable* table,
-                              std::vector<PostOpProf>* post_ops,
-                              const util::ExecGuard* guard = nullptr);
+                          const util::ExecGuard* guard = nullptr,
+                          const ResultTable* source = nullptr);
 
 }  // namespace re2xolap::sparql
 

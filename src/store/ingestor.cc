@@ -163,14 +163,18 @@ Result<IngestReceipt> Ingestor::IngestText(std::string_view text, IngestOp op,
   return receipt;
 }
 
-void Ingestor::MaybeScheduleCompaction(const EpochChain& chain) {
-  if (!config_.auto_compact || pool_ == nullptr) return;
+bool Ingestor::CompactionDue(const EpochChain& chain) const {
   const bool depth_due = config_.compact_threshold_layers != 0 &&
                          chain.depth() >= config_.compact_threshold_layers;
   const bool size_due =
       config_.compact_threshold_triples != 0 &&
       chain.delta_adds + chain.delta_dels >= config_.compact_threshold_triples;
-  if (!depth_due && !size_due) return;
+  return depth_due || size_due;
+}
+
+void Ingestor::MaybeScheduleCompaction(const EpochChain& chain) {
+  if (!config_.auto_compact || pool_ == nullptr) return;
+  if (!CompactionDue(chain)) return;
   {
     std::lock_guard<std::mutex> lk(compact_mu_);
     if (compact_inflight_) return;
@@ -179,15 +183,25 @@ void Ingestor::MaybeScheduleCompaction(const EpochChain& chain) {
   // A workerless pool runs the task inline on this thread; CompactNow
   // takes ingest_mu_, which is why this is never called while holding it.
   pool_->Submit([this] {
-    Status st = BackgroundCompact();
-    if (!st.ok()) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("store.delta.compact_failures")
-          .Inc();
+    for (;;) {
+      Status st = BackgroundCompact();
+      std::lock_guard<std::mutex> lk(compact_mu_);
+      if (!st.ok()) {
+        obs::MetricsRegistry::Global()
+            .GetCounter("store.delta.compact_failures")
+            .Inc();
+      } else if (CompactionDue(*store_->LatestChain())) {
+        // Batches published during the fold are not in its snapshot, and
+        // their MaybeScheduleCompaction saw the flag set and returned:
+        // fold again rather than hand the flag back with the chain due.
+        // Checked under compact_mu_, so a batch published after this
+        // check finds the flag clear and schedules its own fold.
+        continue;
+      }
+      compact_inflight_ = false;
+      compact_cv_.notify_all();
+      return;
     }
-    std::lock_guard<std::mutex> lk(compact_mu_);
-    compact_inflight_ = false;
-    compact_cv_.notify_all();
   });
 }
 

@@ -113,6 +113,8 @@ class Ingestor {
   /// and none is running. Must NOT be called with ingest_mu_ held (a
   /// workerless pool runs the task inline, and CompactNow relocks).
   void MaybeScheduleCompaction(const rdf::EpochChain& chain);
+  /// True when `chain` crosses a configured compaction threshold.
+  bool CompactionDue(const rdf::EpochChain& chain) const;
 
   rdf::TripleStore* store_;
   util::ThreadPool* pool_;

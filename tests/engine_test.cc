@@ -466,46 +466,37 @@ class EngineFailpointTest : public EngineTest {
   void TearDown() override { util::FailpointRegistry::Global().DisarmAll(); }
 };
 
-TEST_F(EngineFailpointTest, TransientInjectedErrorsAreRetriedAway) {
-  ASSERT_TRUE(util::FailpointRegistry::Global()
-                  .Configure("engine.execute=error*2")
-                  .ok());
-  obs::Counter& retries_metric =
-      obs::MetricsRegistry::Global().GetCounter("engine.retries");
-  const uint64_t retries_before = retries_metric.value();
-
-  QueryEngine engine(*store);  // default config: two transient retries
-  auto r = engine.ExecuteText(kObsQuery);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ((*r)->row_count(), 5u);
-
-  EngineCacheStats stats = engine.cache_stats();
-  EXPECT_EQ(stats.retries, 2u);
-  // Cache lookups run once per logical Execute, retries notwithstanding.
-  EXPECT_EQ(stats.result_misses, 1u);
-  EXPECT_EQ(stats.result_hits, 0u);
-  EXPECT_EQ(retries_metric.value(), retries_before + 2);
-}
-
-TEST_F(EngineFailpointTest, RetryBudgetExhaustionSurfacesTheError) {
-  ASSERT_TRUE(util::FailpointRegistry::Global()
-                  .Configure("engine.execute=error*9")
-                  .ok());
-  EngineConfig config;
-  config.max_transient_retries = 1;
-  config.retry_backoff_millis = 0;
-  QueryEngine engine(*store, config);
+// The engine does not retry: an injected kUnavailable reaches the caller
+// typed, once per Execute, and a cache miss is still counted once.
+TEST_F(EngineFailpointTest, InjectedUnavailableSurfacesAsTypedError) {
+  ASSERT_TRUE(
+      util::FailpointRegistry::Global().Configure("engine.execute=error").ok());
+  QueryEngine engine(*store);
   auto r = engine.ExecuteText(kObsQuery);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
-  EXPECT_EQ(engine.cache_stats().retries, 1u);
+  EXPECT_EQ(util::FailpointRegistry::Global().hits("engine.execute"), 1u);
+  EngineCacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.result_misses, 1u);
+  EXPECT_EQ(stats.result_hits, 0u);
+}
+
+TEST_F(EngineFailpointTest, InjectedErrorIsNeverCachedAndClearsWithTheFault) {
+  ASSERT_TRUE(util::FailpointRegistry::Global()
+                  .Configure("engine.execute=error*1")
+                  .ok());
+  QueryEngine engine(*store);
+  auto r = engine.ExecuteText(kObsQuery);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
   // Failures are never cached.
   EXPECT_EQ(engine.cache_stats().result_entries, 0u);
 
-  // Once the fault clears, the same query executes and caches normally.
-  util::FailpointRegistry::Global().DisarmAll();
+  // Once the fault's budget is spent, the same query executes and caches
+  // normally.
   auto ok = engine.ExecuteText(kObsQuery);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ((*ok)->row_count(), 5u);
   EngineCacheStats stats = engine.cache_stats();
   EXPECT_EQ(stats.result_hits, 0u);
   EXPECT_EQ(stats.result_misses, 2u);

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/query_engine.h"
 #include "qb/datasets.h"
 #include "qb/generator.h"
 #include "rdf/compressed_index.h"
@@ -30,6 +32,7 @@
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "tests/reference_eval.h"
+#include "tests/table_compare.h"
 #include "tests/test_data.h"
 #include "util/exec_guard.h"
 
@@ -37,6 +40,7 @@ namespace re2xolap::sparql {
 namespace {
 
 using re2xolap::testing::BuildFigure1Store;
+using re2xolap::testing::IdenticalTables;
 using re2xolap::testing::ReferenceEvaluate;
 
 /// Cell identity, with number cells equal within a 1e-9 relative tolerance
@@ -137,15 +141,11 @@ std::string Render(const ResultTable& t, const Row& row) {
   return ::testing::AssertionSuccess();
 }
 
-/// Runs `text` through the executor and the reference evaluator and
-/// checks that the answers agree (see the file comment for the rules).
-void ExpectMatchesReference(const rdf::TripleStore& store,
-                            const std::string& text) {
-  SCOPED_TRACE(text);
-  auto parsed = ParseQuery(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const SelectQuery& query = *parsed;
-  auto got = Execute(store, query);
+/// Checks `got`, an answer to `query`, against the reference evaluator
+/// (see the file comment for the rules).
+void ExpectAgreesWithReference(const rdf::TripleStore& store,
+                               const SelectQuery& query,
+                               const util::Result<ResultTable>& got) {
   auto want = ReferenceEvaluate(store, query);
   ASSERT_EQ(got.ok(), want.ok())
       << "executor: " << got.status() << "\nreference: " << want.status();
@@ -178,6 +178,16 @@ void ExpectMatchesReference(const rdf::TripleStore& store,
   std::vector<Row> full_rows;
   ASSERT_TRUE(AlignColumns(*full, got->columns(), &full_rows));
   EXPECT_TRUE(IsSubMultiset(*got, got->rows(), full_rows));
+}
+
+/// Runs `text` through the executor and the reference evaluator and
+/// checks that the answers agree.
+void ExpectMatchesReference(const rdf::TripleStore& store,
+                            const std::string& text) {
+  SCOPED_TRACE(text);
+  auto parsed = ParseQuery(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ExpectAgreesWithReference(store, *parsed, Execute(store, *parsed));
 }
 
 class ExecutorDiffTest : public ::testing::Test {
@@ -624,6 +634,81 @@ TEST(ExecutorDiffPropertyTest, RandomQueriesMatchReference) {
   for (size_t c = 0; c < std::size(kConstructs); ++c) {
     EXPECT_GE(seen[c], 10) << kConstructs[c];
   }
+}
+
+/// A Similarity-shaped FILTER over `query`'s GROUP BY keys: an OR of
+/// per-row ANDs of key equalities, taken from up to three rows of `core`
+/// (the answer of the query's core). Null when no row qualifies.
+ExprPtr KeyFilter(const rdf::TripleStore& store, const SelectQuery& query,
+                  const ResultTable& core) {
+  ExprPtr any;
+  const size_t n = core.row_count();
+  for (size_t r : {size_t{0}, n / 2, n - 1}) {
+    if (r >= n) continue;
+    ExprPtr all;
+    for (const Variable& key : query.group_by) {
+      const int c = core.ColumnIndex(key.name);
+      if (c < 0 || !core.at(r, c).is_term()) return any;
+      ExprPtr eq = Expr::Compare(CompareOp::kEq, Expr::Var(key.name),
+                                 Expr::Constant(store.term(core.at(r, c).term)));
+      all = all ? Expr::And(std::move(all), std::move(eq)) : std::move(eq);
+    }
+    any = any ? Expr::Or(std::move(any), std::move(all)) : std::move(all);
+  }
+  return any;
+}
+
+// Derivation: the engine answers a grouped query from its cached core
+// (SplitRefinement). For each generated query that splits, the core runs
+// through the engine first; the query itself must then equal
+// sparql::Execute exactly (rows, order, display terms, doubles bit for
+// bit) and the reference evaluator as a multiset. A variant with a
+// Similarity-shaped FILTER over the core's own group keys exercises the
+// lifted-filter path on every split whose core has rows.
+TEST(ExecutorDiffPropertyTest, DerivedRefinementsMatchDirectExecution) {
+  auto store = BuildGrammarStore();
+  engine::QueryEngine engine(*store);
+  QueryGenerator gen(20261018);
+  uint64_t derived = 0;
+  uint64_t derived_lifted = 0;
+  // Counts into `*tally` when the engine derived its answer.
+  auto check = [&](const SelectQuery& query, uint64_t* tally) {
+    SCOPED_TRACE(ToSparql(query));
+    const uint64_t before = engine.cache_stats().result_derived;
+    auto direct = Execute(*store, query);
+    auto got = engine.Execute(query);
+    *tally += engine.cache_stats().result_derived - before;
+    ASSERT_EQ(direct.ok(), got.ok())
+        << "direct: " << direct.status() << "\nengine: " << got.status();
+    if (!direct.ok()) {
+      EXPECT_EQ(direct.status().code(), got.status().code());
+      return;
+    }
+    EXPECT_TRUE(IdenticalTables(*direct, **got));
+    ExpectAgreesWithReference(*store, query, ResultTable(**got));
+  };
+  int splits = 0;
+  for (int q = 0; q < 1000; ++q) {
+    auto parsed = ParseQuery(gen.Next());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const SelectQuery& query = *parsed;
+    std::optional<RefinementSplit> split = SplitRefinement(query);
+    if (!split.has_value()) continue;
+    ++splits;
+    auto core = engine.Execute(split->core);
+    check(query, &derived);
+    if (HasFatalFailure()) return;
+    if (!core.ok()) continue;
+    if (ExprPtr keys = KeyFilter(*store, query, **core)) {
+      SelectQuery variant = query;
+      variant.filters.push_back(std::move(keys));
+      check(variant, &derived_lifted);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GE(splits, 50);
+  EXPECT_GT(derived, 0u);
+  EXPECT_GT(derived_lifted, 0u);
 }
 
 // The label "3" and the measure 3 are distinct terms that ORDER BY cannot

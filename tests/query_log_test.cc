@@ -169,36 +169,45 @@ TEST_F(QueryLogTest, EngineBypassAndErrorRecordExactlyOnce) {
   EXPECT_EQ(recs[0].rows_out, 0u);
 }
 
-TEST_F(QueryLogTest, RetriedExecutionIsOneRecordWithRetryCount) {
+TEST_F(QueryLogTest, InjectedUnavailableIsOneErrorRecord) {
   ASSERT_TRUE(util::FailpointRegistry::Global()
-                  .Configure("engine.execute=error*2")
+                  .Configure("engine.execute=error*1")
                   .ok());
-  engine::QueryEngine engine(*store);  // default config retries twice
-  const uint64_t mark = Mark();
-  ASSERT_TRUE(engine.ExecuteText(kObsQuery).ok());
-  std::vector<QueryRecord> recs = Since(mark);
-  ASSERT_EQ(recs.size(), 1u)
-      << "retries happen inside one logical Execute: one record";
-  EXPECT_EQ(recs[0].status, 0);
-  EXPECT_EQ(recs[0].retries, 2u);
-}
-
-TEST_F(QueryLogTest, RetryBudgetExhaustionRecordsTheError) {
-  ASSERT_TRUE(util::FailpointRegistry::Global()
-                  .Configure("engine.execute=error*9")
-                  .ok());
-  engine::EngineConfig config;
-  config.max_transient_retries = 1;
-  config.retry_backoff_millis = 0;
-  engine::QueryEngine engine(*store, config);
+  engine::QueryEngine engine(*store);
   const uint64_t mark = Mark();
   auto r = engine.ExecuteText(kObsQuery);
   ASSERT_FALSE(r.ok());
+  ASSERT_TRUE(engine.ExecuteText(kObsQuery).ok());
   std::vector<QueryRecord> recs = Since(mark);
-  ASSERT_EQ(recs.size(), 1u);
+  ASSERT_EQ(recs.size(), 2u) << "one record per Execute";
   EXPECT_EQ(recs[0].status,
             static_cast<uint8_t>(util::StatusCode::kUnavailable));
-  EXPECT_EQ(recs[0].retries, 1u);
+  EXPECT_EQ(recs[0].cache, CacheOutcome::kMiss);
+  EXPECT_EQ(recs[0].rows_out, 0u);
+  EXPECT_EQ(recs[1].status, 0);
+  EXPECT_EQ(recs[1].rows_out, 5u);
+}
+
+TEST_F(QueryLogTest, PersistentInjectedErrorRecordsEachExecute) {
+  ASSERT_TRUE(util::FailpointRegistry::Global()
+                  .Configure("engine.execute=error*9")
+                  .ok());
+  engine::QueryEngine engine(*store);
+  const uint64_t mark = Mark();
+  for (int i = 0; i < 3; ++i) {
+    auto r = engine.ExecuteText(kObsQuery);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kUnavailable);
+  }
+  // An error is never cached, so every attempt is its own miss record.
+  std::vector<QueryRecord> recs = Since(mark);
+  ASSERT_EQ(recs.size(), 3u);
+  for (const QueryRecord& rec : recs) {
+    EXPECT_EQ(rec.status,
+              static_cast<uint8_t>(util::StatusCode::kUnavailable));
+    EXPECT_EQ(rec.cache, CacheOutcome::kMiss);
+    EXPECT_EQ(rec.rows_out, 0u);
+  }
 }
 
 TEST_F(QueryLogTest, GuardViolationRecordsOnceAndCapturesSlow) {
@@ -509,7 +518,6 @@ TEST_F(QueryLogTest, ToJsonLineIsValidAndCarriesTheSchema) {
   rec.cache = CacheOutcome::kMiss;
   rec.status = static_cast<uint8_t>(util::StatusCode::kTimeout);
   rec.degraded = true;
-  rec.retries = 1;
   rec.rows_out = 42;
   rec.total_millis = 1.5;
   const std::string line = QueryLog::ToJsonLine(rec);
@@ -519,12 +527,14 @@ TEST_F(QueryLogTest, ToJsonLineIsValidAndCarriesTheSchema) {
        {"\"id\": 7", "\"op\": \"engine.execute\"",
         "\"fingerprint\": \"deadbeefcafef00d\"", "\"epoch\": 3",
         "\"cache\": \"miss\"",
-        "\"status\": \"Timeout\"", "\"degraded\": true", "\"retries\": 1",
+        "\"status\": \"Timeout\"", "\"degraded\": true",
         "\"rows\": 42", "\"total_ms\": 1.500"}) {
     EXPECT_NE(line.find(key), std::string::npos) << key << "\n" << line;
   }
-  // The schema has no executor key: there is one join core.
+  // The schema has no executor key (there is one join core) and no
+  // retries key (the engine does not retry).
   EXPECT_EQ(line.find("\"executor\""), std::string::npos) << line;
+  EXPECT_EQ(line.find("\"retries\""), std::string::npos) << line;
 }
 
 // --- introspection report ----------------------------------------------------

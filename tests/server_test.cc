@@ -406,6 +406,23 @@ TEST_F(ServerTest, ParseFailpointSurfacesAs503) {
   EXPECT_EQ(after->status, 200);
 }
 
+// An engine failure is typed, not retried: /query maps the engine's
+// kUnavailable to 503 + Retry-After, and the next request succeeds.
+TEST_F(ServerTest, EngineUnavailableSurfacesAs503) {
+  HttpClient client = StartServer();
+  ASSERT_TRUE(util::FailpointRegistry::Global()
+                  .Configure("engine.execute=error*1")
+                  .ok());
+  auto resp = client.Post("/query", kObsQuery);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->status, 503);
+  EXPECT_EQ(resp->Header("retry-after"), "1");
+  EXPECT_EQ(util::FailpointRegistry::Global().hits("engine.execute"), 1u);
+  auto after = client.Post("/query", kObsQuery);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->status, 200);
+}
+
 TEST_F(ServerTest, WriteFailpointDropsResponseNotServer) {
   HttpClient client = StartServer();
   ASSERT_TRUE(util::FailpointRegistry::Global()
