@@ -5,8 +5,10 @@
 # guard-cancelled query (504: the arrival-anchored deadline expires
 # inside an injected execution delay), one shed query (503 +
 # Retry-After: capacity 1 + queue 1 and a third concurrent request),
-# and an ingest round (POST /ingest applies a batch, the very next
-# query sees the new triple, no restart) — then SIGTERM it and require
+# an ingest round (POST /ingest applies a batch, the very next query
+# sees the new triple, no restart) and a compaction round (more batches
+# reach the layer threshold, the background fold replaces the mmap'd
+# base, the query still sees every triple) — then SIGTERM it and require
 # a clean drain: exit code 0 and a schema-valid JSONL query log. Run in
 # the Release and ASan jobs so the socket, ingest, drain, and log-flush
 # paths stay exercised (and leak-clean) on every push.
@@ -63,6 +65,7 @@ Q_PIN1='SELECT ?p1 WHERE { ?p1 a <http://e/Obs> }'
 Q_PIN2='SELECT ?p2 WHERE { ?p2 a <http://e/Obs> }'
 Q_SHED='SELECT ?x WHERE { ?x a <http://e/Obs> }'
 Q_INGEST='SELECT ?i WHERE { ?i a <http://e/Obs> }'
+Q_COMPACT='SELECT ?c WHERE { ?c a <http://e/Obs> }'
 
 # Health + metrics.
 curl -sf "$BASE/healthz" | grep -q '"status": "serving"' \
@@ -106,6 +109,35 @@ echo "$INGEST_BODY" | grep -q '"added": 1' \
 AFTER_BODY="$(curl -sf --max-time 10 -X POST --data "$Q_INGEST" "$BASE/query")"
 echo "$AFTER_BODY" | grep -q '"row_count": 3' \
   || fail "query after ingest did not see 3 observations: $AFTER_BODY"
+
+# Compaction round: three more one-triple batches bring the chain to the
+# default compact_threshold_layers = 4 (the batch above made the first
+# layer; a fifth could land after the fold and leave a layer behind), so
+# a background compaction folds it into a compacted base that replaces
+# the mmap'd snapshot base. Poll /healthz until the fold is published,
+# then the query must see every ingested observation.
+for N in 4 5 6; do
+  BATCH_BODY="$(curl -sf --max-time 10 -X POST --data \
+    "<http://e/obs$N> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://e/Obs> ." \
+    "$BASE/ingest")"
+  echo "$BATCH_BODY" | grep -q '"added": 1' \
+    || fail "ingest of obs$N did not apply: $BATCH_BODY"
+done
+HEALTH=""
+COMPACTED=""
+for _ in $(seq 1 100); do
+  HEALTH="$(curl -sf --max-time 10 "$BASE/healthz")"
+  if echo "$HEALTH" | grep -q '"compacted_base": true' \
+      && echo "$HEALTH" | grep -Eq '"chain_depth": 0[^0-9]'; then
+    COMPACTED=1
+    break
+  fi
+  sleep 0.1
+done
+[ -n "$COMPACTED" ] || fail "compaction never published: $HEALTH"
+COMPACT_BODY="$(curl -sf --max-time 10 -X POST --data "$Q_COMPACT" "$BASE/query")"
+echo "$COMPACT_BODY" | grep -q '"row_count": 6' \
+  || fail "query after compaction did not see 6 observations: $COMPACT_BODY"
 
 # SIGTERM -> graceful drain: the process must exit 0 on its own.
 kill -TERM "$SERVER_PID"

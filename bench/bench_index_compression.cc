@@ -19,6 +19,7 @@
 
 #include "bench/bench_common.h"
 #include "rdf/compressed_index.h"
+#include "rdf/delta_layer.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "storage/snapshot.h"
@@ -128,9 +129,9 @@ int main() {
     // block sections (skip table + payload).
     const uint64_t triples = raw->size();
     const uint64_t raw_bytes = 3 * triples * sizeof(rdf::EncodedTriple);
-    const uint64_t comp_bytes = compressed->spo_blocks()->byte_size() +
-                                compressed->pos_blocks()->byte_size() +
-                                compressed->osp_blocks()->byte_size();
+    const uint64_t comp_bytes = compressed->base().blocks(rdf::Perm::kSpo).byte_size() +
+                                compressed->base().blocks(rdf::Perm::kPos).byte_size() +
+                                compressed->base().blocks(rdf::Perm::kOsp).byte_size();
     const double ratio =
         raw_bytes > 0 ? static_cast<double>(comp_bytes) / raw_bytes : 0.0;
     const uint64_t snap_raw = SnapshotBytes(*raw, "bench_idx_raw.snap");
@@ -148,11 +149,11 @@ int main() {
         .Int("compressed_index_bytes", static_cast<long long>(comp_bytes))
         .Num("compression_ratio", ratio)
         .Int("spo_block_bytes",
-             static_cast<long long>(compressed->spo_blocks()->byte_size()))
+             static_cast<long long>(compressed->base().blocks(rdf::Perm::kSpo).byte_size()))
         .Int("pos_block_bytes",
-             static_cast<long long>(compressed->pos_blocks()->byte_size()))
+             static_cast<long long>(compressed->base().blocks(rdf::Perm::kPos).byte_size()))
         .Int("osp_block_bytes",
-             static_cast<long long>(compressed->osp_blocks()->byte_size()))
+             static_cast<long long>(compressed->base().blocks(rdf::Perm::kOsp).byte_size()))
         .Int("snapshot_raw_bytes", static_cast<long long>(snap_raw))
         .Int("snapshot_compressed_bytes", static_cast<long long>(snap_comp))
         .Bool("meets_half_raw_target", ratio <= 0.5);

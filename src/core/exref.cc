@@ -155,7 +155,7 @@ std::vector<ExploreState> Disaggregate(const VirtualSchemaGraph& vsg,
     out[i] = DisaggregateOne(store, state, *valid[i]);
   };
   if (pool != nullptr && valid.size() > 1) {
-    pool->ParallelFor(valid.size(), build_one);
+    rdf::ParallelForPinned(pool, store, valid.size(), build_one);
   } else {
     for (size_t i = 0; i < valid.size(); ++i) build_one(i);
   }
@@ -209,7 +209,7 @@ std::vector<util::Result<sparql::ResultTable>> EvaluateStates(
                              stats != nullptr ? &(*stats)[i] : nullptr);
   };
   if (pool != nullptr && states.size() > 1) {
-    pool->ParallelFor(states.size(), eval_one);
+    rdf::ParallelForPinned(pool, store, states.size(), eval_one);
   } else {
     for (size_t i = 0; i < states.size(); ++i) eval_one(i);
   }
@@ -244,7 +244,7 @@ std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
                             stats != nullptr ? &(*stats)[i] : nullptr);
   };
   if (pool != nullptr && states.size() > 1) {
-    pool->ParallelFor(states.size(), eval_one);
+    rdf::ParallelForPinned(pool, engine.store(), states.size(), eval_one);
   } else {
     for (size_t i = 0; i < states.size(); ++i) eval_one(i);
   }

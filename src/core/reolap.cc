@@ -264,7 +264,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
       dims[i] = MatchValue(example_tuple[i], opts);
     };
     if (pool != nullptr && example_tuple.size() > 1) {
-      pool->ParallelFor(dims.size(), match_one);
+      rdf::ParallelForPinned(pool, *store_, dims.size(), match_one);
     } else {
       for (size_t i = 0; i < dims.size(); ++i) match_one(i);
     }
@@ -360,7 +360,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
                                                                          : 0;
       };
       if (pool != nullptr) {
-        pool->ParallelFor(pending.size(), probe);
+        rdf::ParallelForPinned(pool, *store_, pending.size(), probe);
       } else {
         for (size_t i = 0; i < pending.size(); ++i) probe(i);
       }
@@ -477,7 +477,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
   };
   const size_t n_lookups = (example_tuples.size() - 1) * arity;
   if (pool != nullptr) {
-    pool->ParallelFor(n_lookups, match_one);
+    rdf::ParallelForPinned(pool, *store_, n_lookups, match_one);
   } else {
     for (size_t flat = 0; flat < n_lookups; ++flat) match_one(flat);
   }
@@ -537,7 +537,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
     rc.keep = all_rows_ok;
   };
   if (pool != nullptr) {
-    pool->ParallelFor(candidates.size(), check_one);
+    rdf::ParallelForPinned(pool, *store_, candidates.size(), check_one);
   } else {
     for (size_t c = 0; c < candidates.size(); ++c) check_one(c);
   }

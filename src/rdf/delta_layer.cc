@@ -1,6 +1,7 @@
 #include "rdf/delta_layer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace re2xolap::rdf {
@@ -16,7 +17,102 @@ size_t TripleBytes(const std::vector<EncodedTriple>& v) {
   return v.capacity() * sizeof(EncodedTriple);
 }
 
+constexpr EncodedTriple kLowest{kInvalidTermId, kInvalidTermId,
+                                kInvalidTermId};
+constexpr EncodedTriple kHighest{kMaxTermId, kMaxTermId, kMaxTermId};
+
+/// The part of a sorted array between the sentinels lo and hi.
+std::span<const EncodedTriple> ClipSpan(std::span<const EncodedTriple> s,
+                                        Perm perm, const EncodedTriple& lo,
+                                        const EncodedTriple& hi) {
+  auto less = [perm](const EncodedTriple& a, const EncodedTriple& b) {
+    return PermLess(perm, a, b);
+  };
+  auto first = std::lower_bound(s.begin(), s.end(), lo, less);
+  if (first == s.end() || less(hi, *first)) return {};
+  auto last = std::upper_bound(first, s.end(), hi, less);
+  return {first, last};
+}
+
+/// The part of the base between the sentinels lo and hi. A window with
+/// one subject reads that subject's run from the directory first.
+IndexRange ClipBase(const FrozenBase& base, Perm perm, const EncodedTriple& lo,
+                    const EncodedTriple& hi) {
+  IndexRange range = base.Range(perm);
+  if (perm == Perm::kSpo && lo.s == hi.s && !base.directory.empty()) {
+    const auto [first, last] = base.directory.Run(lo.s);
+    range = range.Slice(first, last);
+    if (lo.p == kInvalidTermId && lo.o == kInvalidTermId &&
+        hi.p == kMaxTermId && hi.o == kMaxTermId) {
+      return range;
+    }
+  }
+  const uint64_t first = range.LowerBound(lo);
+  const uint64_t last = std::max(first, range.GallopUpperBound(first, hi));
+  return range.Slice(first, last);
+}
+
 }  // namespace
+
+void FrozenBase::Own(Perm perm, std::vector<EncodedTriple> sorted) {
+  const size_t i = static_cast<size_t>(perm);
+  owned_[i] = std::move(sorted);
+  raw_[i] = owned_[i];
+}
+
+void FrozenBase::Borrow(Perm perm, std::span<const EncodedTriple> sorted) {
+  raw_[static_cast<size_t>(perm)] = sorted;
+}
+
+void FrozenBase::SetBlocks(Perm perm, CompressedPermutation blocks) {
+  blocks_[static_cast<size_t>(perm)] = std::move(blocks);
+  compressed_ = true;
+}
+
+uint64_t FrozenBase::size() const {
+  return compressed_ ? blocks(Perm::kSpo).size() : raw(Perm::kSpo).size();
+}
+
+IndexRange FrozenBase::Range(Perm perm) const {
+  if (compressed_) {
+    const CompressedPermutation& cp = blocks(perm);
+    return IndexRange::FromBlocks(&cp, 0, cp.size(), perm);
+  }
+  return IndexRange::FromSpan(raw(perm), perm);
+}
+
+std::vector<EncodedTriple> FrozenBase::Triples() const {
+  std::vector<EncodedTriple> out;
+  if (compressed_) {
+    blocks(Perm::kSpo).DecodeAll(&out);
+  } else {
+    out.assign(raw(Perm::kSpo).begin(), raw(Perm::kSpo).end());
+  }
+  return out;
+}
+
+size_t FrozenBase::heap_bytes() const {
+  size_t bytes = directory.bytes() + stats.size() * (sizeof(TermId) +
+                                                     sizeof(PredicateStats) +
+                                                     2 * sizeof(void*));
+  for (size_t i = 0; i < 3; ++i) {
+    bytes += TripleBytes(owned_[i]) + blocks_[i].heap_bytes();
+  }
+  return bytes;
+}
+
+size_t FrozenBase::borrowed_bytes() const {
+  size_t bytes = 0;
+  for (size_t i = 0; i < 3; ++i) {
+    if (owned_[i].empty()) bytes += raw_[i].size_bytes();
+    if (blocks_[i].borrowed()) bytes += blocks_[i].byte_size();
+  }
+  return bytes;
+}
+
+size_t FrozenBase::index_bytes(Perm perm) const {
+  return compressed_ ? blocks(perm).byte_size() : raw(perm).size_bytes();
+}
 
 void DeltaLayer::RebuildPredicateDelta() {
   predicate_delta.clear();
@@ -35,11 +131,56 @@ size_t DeltaLayer::MemoryUsage() const {
                                    2 * sizeof(void*));
 }
 
-size_t LiveBase::MemoryUsage() const {
-  return TripleBytes(spo) + TripleBytes(pos) + TripleBytes(osp) +
-         directory.bytes() +
-         stats.size() *
-             (sizeof(TermId) + sizeof(PredicateStats) + 2 * sizeof(void*));
+IndexRange EpochChain::Clip(Perm perm, const EncodedTriple& lo,
+                            const EncodedTriple& hi,
+                            const SubjectDirectory** directory) const {
+  if (directory != nullptr) *directory = nullptr;
+  const bool whole = lo == kLowest && hi == kHighest;
+  const IndexRange base_range =
+      whole ? base->Range(perm) : ClipBase(*base, perm, lo, hi);
+  // First pass: count the non-empty clipped sources. A tombstone always
+  // shares its key with a visible triple of another source, so a window
+  // with tombstones has at least two sources and takes the merge.
+  size_t sources = base_range.empty() ? 0 : 1;
+  std::span<const EncodedTriple> only;
+  for (const std::shared_ptr<const DeltaLayer>& layer : layers) {
+    std::span<const EncodedTriple> adds =
+        ClipSpan(layer->adds(perm), perm, lo, hi);
+    if (!adds.empty()) {
+      ++sources;
+      only = adds;
+    }
+    if (!ClipSpan(layer->dels(perm), perm, lo, hi).empty()) ++sources;
+  }
+  if (sources == 0) return IndexRange();
+  if (sources == 1) {
+    if (base_range.empty()) return IndexRange::FromSpan(only, perm);
+    if (directory != nullptr && whole && perm == Perm::kSpo &&
+        !base->directory.empty()) {
+      *directory = &base->directory;
+    }
+    return base_range;
+  }
+  std::vector<IndexRange> adds;
+  std::vector<IndexRange> dels;
+  adds.reserve(layers.size() + 1);
+  if (!base_range.empty()) adds.push_back(base_range);
+  for (const std::shared_ptr<const DeltaLayer>& layer : layers) {
+    std::span<const EncodedTriple> a =
+        ClipSpan(layer->adds(perm), perm, lo, hi);
+    if (!a.empty()) adds.push_back(IndexRange::FromSpan(a, perm));
+    std::span<const EncodedTriple> d =
+        ClipSpan(layer->dels(perm), perm, lo, hi);
+    if (!d.empty()) dels.push_back(IndexRange::FromSpan(d, perm));
+  }
+  auto run =
+      std::make_shared<const MergedRun>(std::move(adds), std::move(dels), perm);
+  const uint64_t n = run->size();
+  return IndexRange::FromMerged(std::move(run), 0, n, perm);
+}
+
+IndexRange EpochChain::Range(Perm perm) const {
+  return Clip(perm, kLowest, kHighest);
 }
 
 void ApplyLayerToStats(const DeltaLayer& layer,
@@ -71,12 +212,11 @@ void ApplyLayerToStats(const DeltaLayer& layer,
 }
 
 MergedRun::MergedRun(std::vector<IndexRange> adds, std::vector<IndexRange> dels,
-                     Perm perm, std::shared_ptr<const void> keepalive)
+                     Perm perm)
     : adds_(std::move(adds)),
       dels_(std::move(dels)),
       perm_(perm),
-      id_(NextMergedRunId()),
-      keepalive_(std::move(keepalive)) {
+      id_(NextMergedRunId()) {
   assert(!adds_.empty());
   uint64_t add_total = 0;
   uint64_t del_total = 0;
@@ -204,6 +344,28 @@ uint64_t MergedRun::Advance(MergedCursorState* cur, uint64_t limit,
     }
     if (min_i < 0) break;
     const EncodedTriple key = src[min_i].Head();
+    // The min source's triples below every other source's head exist in
+    // no other source (tombstone heads never trail the smallest add
+    // head), so they are emitted as one run without per-key merging.
+    bool bounded = false;
+    EncodedTriple bound;
+    for (size_t i = 0; i < na + nd; ++i) {
+      if (static_cast<int>(i) == min_i || src[i].exhausted()) continue;
+      if (!bounded || PermLess(perm_, src[i].Head(), bound)) {
+        bound = src[i].Head();
+        bounded = true;
+      }
+    }
+    Src& run = src[min_i];
+    if (!bounded || PermLess(perm_, key, bound)) {
+      while (emitted < limit && !run.exhausted() &&
+             (!bounded || PermLess(perm_, run.Head(), bound))) {
+        if (out != nullptr) out->push_back(run.Head());
+        ++run.pos;
+        ++emitted;
+      }
+      continue;
+    }
     int net = 0;
     for (size_t i = 0; i < na; ++i) {
       if (src[i].exhausted()) continue;

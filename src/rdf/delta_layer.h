@@ -1,13 +1,18 @@
 #ifndef RE2XOLAP_RDF_DELTA_LAYER_H_
 #define RE2XOLAP_RDF_DELTA_LAYER_H_
 
-// Epoch-chain building blocks for live ingestion: an immutable frozen
-// base plus a stack of immutable sorted delta layers, merged at read
-// time behind the IndexRange seam (ROADMAP item 3).
+// The one store representation: an epoch chain of an immutable frozen
+// base plus a stack of immutable sorted delta layers. A frozen store is a
+// chain of depth 0; live ingestion (src/store/) publishes deeper ones.
+//
+// A FrozenBase is what Freeze, snapshot load and compaction all produce:
+// the three sorted permutations (raw arrays or compressed blocks, owned
+// or borrowed from a loaded image), the SPO subject directory and the
+// predicate statistics.
 //
 // A DeltaLayer is one atomically published ingest batch: inserts and
 // tombstoned deletes, each sorted in all three permutation orders, so a
-// layer answers the same clipped-range probes the base indexes do. The
+// layer answers the same clipped-range probes the base does. The
 // layer-build invariants (enforced by store::Ingestor against the chain
 // being replaced) make merged positions exact arithmetic:
 //
@@ -16,27 +21,85 @@
 //
 // so for any key prefix the number of visible triples is
 //   sum(adds <= prefix) - sum(tombstones <= prefix)
-// across base + layers, with the per-key count always 0 or 1. MergedRun
-// turns that arithmetic into an IndexRange backing: bounds are sums of
-// per-source bounds, and Fetch materializes merged windows with
-// tombstone annihilation (equal keys across sources cancel in pairs).
+// across base + layers, with the per-key count always 0 or 1.
 //
-// Everything in this header is immutable after construction and safe
-// for concurrent reads; publication of a new EpochChain is a single
-// atomic shared_ptr store in TripleStore.
+// Reads go through EpochChain::Clip, which clips every source to the
+// probe's key window first. A window that one source covers alone is
+// answered by that source's own span or block range; only a window with
+// two or more non-empty sources builds a MergedRun, whose bounds are
+// sums of per-source bounds and whose Fetch materializes merged windows
+// with tombstone annihilation (equal keys across sources cancel in
+// pairs). Ranges hold no keepalive: a reader pins the chain
+// (TripleStore::ReadPin) for as long as it uses them.
+//
+// Everything in this header is immutable once published and safe for
+// concurrent reads; publication of a new EpochChain is a pointer swap in
+// TripleStore.
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "rdf/compressed_index.h"
 #include "rdf/index_cursor.h"
 #include "rdf/subject_directory.h"
 #include "rdf/triple.h"
 #include "rdf/triple_store.h"
 
 namespace re2xolap::rdf {
+
+/// The base of an epoch chain: one frozen, deduplicated triple set in
+/// all three permutation orders. Each permutation is a raw sorted array
+/// (owned, or borrowed from memory `keepalive` holds) or a compressed
+/// block permutation (owned or borrowed the same way); one base never
+/// mixes the two formats. Built once, then immutable.
+class FrozenBase {
+ public:
+  /// Installs `sorted` (in `perm`'s key order, deduplicated) as owned
+  /// raw storage.
+  void Own(Perm perm, std::vector<EncodedTriple> sorted);
+  /// Installs a raw permutation borrowed from memory `keepalive` holds.
+  void Borrow(Perm perm, std::span<const EncodedTriple> sorted);
+  /// Installs a compressed permutation (its storage owned, or borrowed
+  /// from `keepalive`).
+  void SetBlocks(Perm perm, CompressedPermutation blocks);
+
+  bool compressed() const { return compressed_; }
+  uint64_t size() const;
+  /// The raw sorted array of `perm` (raw-format bases only).
+  std::span<const EncodedTriple> raw(Perm perm) const {
+    return raw_[static_cast<size_t>(perm)];
+  }
+  /// The block permutation of `perm` (compressed bases only).
+  const CompressedPermutation& blocks(Perm perm) const {
+    return blocks_[static_cast<size_t>(perm)];
+  }
+  /// The whole permutation as an IndexRange.
+  IndexRange Range(Perm perm) const;
+  /// A copy of the triples in SPO order (rebuilding a store after Add()).
+  std::vector<EncodedTriple> Triples() const;
+
+  /// Malloc'd bytes: owned arrays or blocks, directory, stats.
+  size_t heap_bytes() const;
+  /// Bytes of a borrowed image the permutations alias.
+  size_t borrowed_bytes() const;
+  /// Bytes of one permutation, owned or borrowed.
+  size_t index_bytes(Perm perm) const;
+
+  SubjectDirectory directory;  // subject runs of the SPO permutation
+  std::unordered_map<TermId, PredicateStats> stats;
+  std::shared_ptr<const void> keepalive;  // borrowed image; null if owned
+  bool compacted = false;  // built by a compaction (LiveInfo)
+
+ private:
+  std::array<std::span<const EncodedTriple>, 3> raw_;
+  std::array<std::vector<EncodedTriple>, 3> owned_;
+  std::array<CompressedPermutation, 3> blocks_;
+  bool compressed_ = false;
+};
 
 /// One sealed ingest batch: sorted insert and tombstone arrays per
 /// permutation. Immutable once published into an EpochChain.
@@ -88,34 +151,21 @@ struct DeltaLayer {
   size_t MemoryUsage() const;
 };
 
-/// Owned storage of a compacted base: the fold of a previous base plus
-/// its sealed layers into fresh sorted raw arrays. When an EpochChain's
-/// `base` is null the owning TripleStore's own frozen arrays serve as
-/// the base instead (the state right after EnterLive()).
-struct LiveBase {
-  std::vector<EncodedTriple> spo;  // sorted by (s, p, o)
-  std::vector<EncodedTriple> pos;  // sorted by (p, o, s)
-  std::vector<EncodedTriple> osp;  // sorted by (o, s, p)
-  std::unordered_map<TermId, PredicateStats> stats;
-  SubjectDirectory directory;  // subject runs of `spo`
-
-  size_t MemoryUsage() const;
-};
-
-/// One immutable snapshot of the live store's state: a base plus zero or
-/// more delta layers, published atomically per ingest batch / compaction.
-/// Readers pin a chain (TripleStore::ReadPin) for the duration of a
-/// query; the shared_ptr graph keeps every array a handed-out IndexRange
-/// references alive until the last reader drops its pin.
+/// One immutable snapshot of a store's state: a base plus zero or more
+/// delta layers. A frozen store holds one chain of depth 0; a live store
+/// publishes a new chain per ingest batch / compaction. Readers pin a
+/// chain (TripleStore::ReadPin) for the duration of a query; the
+/// shared_ptr graph keeps every array a handed-out IndexRange references
+/// alive until the last reader drops its pin.
 struct EpochChain {
-  /// Compacted base storage; null while the store's own frozen arrays
-  /// are the base.
-  std::shared_ptr<const LiveBase> base;
+  /// Never null.
+  std::shared_ptr<const FrozenBase> base;
   /// Delta layers, oldest first. Tombstones in layer k refer to triples
   /// visible in base + layers [0, k).
   std::vector<std::shared_ptr<const DeltaLayer>> layers;
-  /// The chain's freeze epoch: every publish (ingest batch with a net
-  /// change, compaction) bumps it, so engine cache keys roll over.
+  /// The chain's freeze epoch: every Freeze and every live publish
+  /// (ingest batch with a net change, compaction) bumps it, so engine
+  /// cache keys roll over.
   uint64_t epoch = 0;
   /// Total visible triples (base + inserts - deletes).
   uint64_t visible_triples = 0;
@@ -130,6 +180,20 @@ struct EpochChain {
   uint64_t delta_dels = 0;
 
   uint64_t depth() const { return layers.size(); }
+
+  /// The visible triples of `perm` between the sentinels `lo` and `hi`
+  /// (inclusive, in `perm`'s key order). Every source is clipped to the
+  /// window first; when at most one clipped source is non-empty the
+  /// result is that source's own span or block range, and only two or
+  /// more non-empty sources build a MergedRun. When `directory` is
+  /// non-null it receives the base's subject directory if the result is
+  /// the base's whole SPO permutation (so directory positions index it),
+  /// else null. The range is valid while this chain is.
+  IndexRange Clip(Perm perm, const EncodedTriple& lo, const EncodedTriple& hi,
+                  const SubjectDirectory** directory = nullptr) const;
+
+  /// The whole permutation (ingest visibility probes, compaction).
+  IndexRange Range(Perm perm) const;
 };
 
 /// Applies `layer` on top of `stats` (the merged-stats construction
@@ -139,19 +203,19 @@ void ApplyLayerToStats(const DeltaLayer& layer,
                        std::unordered_map<TermId, PredicateStats>* stats);
 
 /// The K-way merged view a merged IndexRange reads through: one clipped
-/// run per source (base and per-layer inserts as adds, per-layer
-/// tombstones as dels), all clipped to the same sentinel window of one
-/// permutation. Positions are exact under the layer-build invariants
-/// (see file header): size() = sum(adds) - sum(dels), and every bound is
-/// the same sum over per-source bounds. Immutable and shared: the
-/// IndexRanges handed to executors hold a shared_ptr to it, and it holds
-/// the chain keepalive, so a range outlives chain publication safely.
+/// run per non-empty source (base and per-layer inserts as adds,
+/// per-layer tombstones as dels), all clipped to the same sentinel
+/// window of one permutation. Positions are exact under the layer-build
+/// invariants (see file header): size() = sum(adds) - sum(dels), and
+/// every bound is the same sum over per-source bounds. Immutable and
+/// shared between copies of the ranges over it; the sources alias the
+/// chain, which the reader's pin keeps alive.
 class MergedRun {
  public:
   /// `adds` must be non-empty; every range must share `perm` and the
-  /// same clip window. `keepalive` pins the chain the sources alias.
+  /// same clip window.
   MergedRun(std::vector<IndexRange> adds, std::vector<IndexRange> dels,
-            Perm perm, std::shared_ptr<const void> keepalive);
+            Perm perm);
 
   uint64_t size() const { return size_; }
   Perm perm() const { return perm_; }
@@ -185,7 +249,6 @@ class MergedRun {
   Perm perm_ = Perm::kSpo;
   uint64_t size_ = 0;
   uint64_t id_ = 0;
-  std::shared_ptr<const void> keepalive_;
 };
 
 }  // namespace re2xolap::rdf

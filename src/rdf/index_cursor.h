@@ -4,11 +4,12 @@
 // Index-cursor abstraction over the three sorted triple permutations.
 //
 // TripleStore::Match() answers every pattern with an IndexRange: a
-// contiguous, sorted run of triples inside one permutation. The range is
-// backed either by a raw EncodedTriple array (zero-copy spans, the classic
-// representation) or by the compressed block format of
-// rdf/compressed_index.h (fixed-size delta/vbyte blocks plus an in-memory
-// skip table). Consumers that only iterate use the range-for iterator or
+// sorted run of triples of one permutation. The range is backed by a raw
+// EncodedTriple array (zero-copy spans), by the compressed block format
+// of rdf/compressed_index.h (fixed-size delta/vbyte blocks plus an
+// in-memory skip table), or — when two or more sources of a live epoch
+// chain cover the probed window — by a merged run (rdf/delta_layer.h).
+// Consumers that only iterate use the range-for iterator or
 // IndexCursor::NextChunk; the executors additionally seek and gallop via
 // sentinel-triple probes, which on compressed ranges run on the block skip
 // keys first and decode only the blocks that survive the seek.
@@ -99,8 +100,8 @@ struct IndexBlockScratch {
   std::shared_ptr<const std::vector<EncodedTriple>> pinned;
   uint64_t generation = 0;             // CompressedPermutation::generation()
   uint64_t block = ~static_cast<uint64_t>(0);
-  // Merged-run window (live stores, rdf/delta_layer.h): `merged_buf`
-  // holds the materialized window starting at absolute merged position
+  // Merged-run window (rdf/delta_layer.h): `merged_buf` holds the
+  // materialized window starting at absolute merged position
   // `merged_win_start` of the run identified by `merged_id`, and
   // `merged_cur` sits at the window's end so sequential Fetch calls
   // continue the K-way merge without a rank re-seek. The buffer is owned
@@ -112,10 +113,10 @@ struct IndexBlockScratch {
   MergedCursorState merged_cur;
 };
 
-/// A contiguous sorted run of triples inside one permutation. Cheap value
-/// type (pointer + offsets); validity follows the backing store — like the
-/// spans Match() used to return, a range must not outlive its TripleStore
-/// or the store's next mutation.
+/// A sorted run of triples of one permutation. Cheap value type (pointer
+/// + offsets); validity follows the backing store — a range must not
+/// outlive its TripleStore, the store's next mutation or, on a live
+/// store, the ReadPin it was read under.
 class IndexRange {
  public:
   IndexRange() = default;
@@ -140,11 +141,11 @@ class IndexRange {
     return r;
   }
 
-  /// Merged backing (live stores): positions [begin, end) of `run`, the
-  /// K-way base-plus-delta view of rdf/delta_layer.h. The shared_ptr
-  /// keeps the run — and through it the pinned epoch chain — alive for
-  /// as long as any copy of the range exists, so merged ranges survive
-  /// concurrent chain publication.
+  /// Merged backing (a window two or more sources of an epoch chain
+  /// cover): positions [begin, end) of `run`, the K-way base-plus-delta
+  /// view of rdf/delta_layer.h. Copies of the range share the run; the
+  /// sources it reads alias the chain, which the reader's ReadPin keeps
+  /// alive.
   static IndexRange FromMerged(std::shared_ptr<const MergedRun> run,
                                uint64_t begin, uint64_t end, Perm perm) {
     IndexRange r;
@@ -264,7 +265,7 @@ class IndexRange {
   const CompressedPermutation* blocks_ = nullptr;  // null => raw backing
   const EncodedTriple* data_ = nullptr;            // raw backing base
   // Merged backing (null otherwise): copying a null shared_ptr is free,
-  // so classic raw/compressed ranges pay nothing for this member.
+  // so raw/compressed ranges pay nothing for this member.
   std::shared_ptr<const MergedRun> merged_;
   uint64_t begin_ = 0;  // raw: 0; compressed/merged: absolute position
   uint64_t end_ = 0;    // raw: size; compressed/merged: absolute end

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -23,9 +24,9 @@ class ThreadPool;
 
 namespace re2xolap::rdf {
 
-class CompressedPermutation;
 struct DeltaLayer;
 struct EpochChain;
+class FrozenBase;
 
 /// Per-predicate cardinality statistics used by the query planner for
 /// selectivity-ordered join planning.
@@ -46,10 +47,9 @@ enum class IndexFormat : uint8_t {
 IndexFormat DefaultIndexFormat();
 
 /// Per-predicate statistics computed from a (p,o,s)-sorted, deduplicated
-/// triple array — the exact computation Freeze() runs over its POS index,
-/// exposed for epoch-chain compaction (which folds base + deltas into new
-/// sorted arrays and needs fresh stats without a TripleStore). When `pool`
-/// is non-null the per-predicate runs are processed as concurrent tasks.
+/// triple array — the computation Freeze() runs over its POS index and
+/// compaction over its folded one. When `pool` is non-null the
+/// per-predicate runs are processed as concurrent tasks.
 std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
     std::span<const EncodedTriple> pos_sorted, util::ThreadPool* pool);
 
@@ -61,9 +61,8 @@ std::unordered_map<TermId, PredicateStats> ComputePredicateStats(
 struct StoreMemory {
   size_t heap_bytes = 0;
   size_t mapped_bytes = 0;
-  /// Parts of heap_bytes: the subject directories (frozen base and, on
-  /// live stores, the compacted chain base) and the dictionary's numeric
-  /// side column.
+  /// Parts of heap_bytes: the base's subject directory and the
+  /// dictionary's numeric side column.
   size_t directory_bytes = 0;
   size_t numeric_bytes = 0;
 };
@@ -77,15 +76,16 @@ struct StoreMemory {
 /// This mirrors the paper's setting: the KG is loaded/bootstrapped once and
 /// then queried read-only.
 ///
-/// Each permutation is stored in one of two formats behind the IndexRange
-/// seam (rdf/index_cursor.h): raw sorted EncodedTriple arrays — owned
-/// vectors or spans borrowed from a memory-mapped snapshot image — or the
-/// compressed block format of rdf/compressed_index.h (again owned or
-/// borrowed). Match() always answers with an IndexRange; raw ranges expose
-/// the classic zero-copy spans, compressed ranges decode block-at-a-time
-/// into caller scratch. The first mutation (Add/AddEncoded/Freeze)
-/// transparently materializes owned raw storage, so the mutable API keeps
-/// working after any kind of load.
+/// One representation (rdf/delta_layer.h): the store holds the
+/// dictionary, the pending Add() buffer and one EpochChain. Freeze(),
+/// snapshot adoption (Adopt) and live compaction each produce a
+/// FrozenBase — raw sorted arrays (owned, or borrowed from a loaded
+/// image) or compressed blocks — and a frozen store is a chain over that
+/// base with no delta layers. Live ingestion (EnterLive, src/store/)
+/// publishes deeper chains. Every read clips each source of the chain to
+/// the probe's key window and answers with an IndexRange: the one
+/// source's span or block range when only one source covers the window,
+/// a merged run otherwise.
 ///
 /// Concurrent-read contract: after Freeze() returns, every const member
 /// (Match, CountMatches, Exists, Lookup, term, predicate_stats, ...) is
@@ -96,6 +96,12 @@ struct StoreMemory {
 /// AddEncoded(), Intern(), and Freeze() must never overlap a read. Debug
 /// builds enforce this with an active-reader counter asserted inside the
 /// mutators (see ReadGuard below).
+///
+/// Pin rule: ranges carry no keepalive, so every range-returning read of
+/// a live store (Match, Range, PermutationRange, base) runs under a
+/// ReadPin, which debug builds assert. Value-returning reads (size,
+/// CountMatches, stats, epoch, ...) pin for themselves. On a store that
+/// never entered live mode a ReadPin is a no-op and reads take no lock.
 class TripleStore {
  public:
   TripleStore();
@@ -112,9 +118,10 @@ class TripleStore {
   /// Appends an already-encoded triple; the ids must come from dictionary().
   void AddEncoded(EncodedTriple t);
 
-  /// Sorts and deduplicates the three index permutations and computes
-  /// predicate statistics; when index_format() is kCompressed the sorted
-  /// permutations are then compressed and the raw arrays released. Must be
+  /// Sorts and deduplicates the three index permutations, computes
+  /// predicate statistics and the subject directory, and installs them as
+  /// a new base; when index_format() is kCompressed the sorted
+  /// permutations are compressed and the raw arrays released. Must be
   /// called after loading, before querying. When `pool` is non-null the
   /// per-permutation work runs as concurrent tasks; the resulting store is
   /// bit-identical to a serial Freeze().
@@ -122,37 +129,34 @@ class TripleStore {
 
   bool frozen() const { return frozen_; }
 
-  /// Monotone counter bumped by every Freeze(). Caches keyed on query
-  /// results (e.g. engine::QueryEngine) include the epoch in their keys so
-  /// a re-Freeze() — the only way new data becomes visible — invalidates
-  /// every entry derived from the previous index state. 0 = never frozen.
-  /// Snapshot restore (AdoptFrozen*) reinstalls the epoch the image was
-  /// saved at, so cache keys behave identically across a save/load cycle.
-  /// Live stores (EnterLive) answer with the current epoch chain's epoch,
-  /// which every published ingest batch / compaction bumps.
+  /// The epoch of the chain reads answer from. Freeze() bumps it, and so
+  /// does every live publication (ingest batch, compaction); caches keyed
+  /// on query results (e.g. engine::QueryEngine) include it in their keys,
+  /// so any change of the visible data invalidates every entry derived
+  /// from the previous state. 0 = never frozen. Snapshot restore (Adopt)
+  /// reinstalls the epoch the image was saved at, so cache keys behave
+  /// identically across a save/load cycle.
   uint64_t freeze_epoch() const;
 
   /// --- Live ingestion (rdf/delta_layer.h, src/store/) ---------------------
 
-  /// Switches a frozen store into live mode: the frozen indexes become the
-  /// immutable base of an epoch chain, the dictionary enters its
-  /// concurrent-append mode, and new data arrives as delta layers
-  /// published via PublishChain() (store::Ingestor drives this). Live
-  /// stores reject the freeze-once mutators (Add/Freeze/Adopt*); reads
-  /// keep the frozen-store concurrency contract and additionally tolerate
-  /// concurrent chain publication — a query pins one chain for its
-  /// duration with ReadPin. Irreversible for the store's lifetime.
+  /// Switches a frozen store into live mode: the dictionary enters its
+  /// concurrent-append mode, and new data arrives as delta layers over
+  /// the current base, published via PublishChain() (store::Ingestor
+  /// drives this). Live stores reject the freeze-once mutators
+  /// (Add/Freeze/Adopt); reads keep the frozen-store concurrency contract
+  /// and additionally tolerate concurrent chain publication — a query
+  /// pins one chain for its duration with ReadPin. Irreversible for the
+  /// store's lifetime.
   void EnterLive();
 
   bool live() const { return live_.load(std::memory_order_acquire); }
 
-  /// The chain the calling thread should read: the innermost ReadPin's
-  /// chain when one is active on this thread, else a copy of the latest
-  /// published chain. Null on non-live stores.
-  std::shared_ptr<const EpochChain> live_chain() const;
+  /// The chain this thread's reads answer from: its ReadPin's chain when
+  /// it holds one, else the latest published chain.
+  std::shared_ptr<const EpochChain> chain() const;
 
-  /// The latest published chain, ignoring any ReadPin on this thread
-  /// (null before EnterLive).
+  /// The latest published chain, ignoring any ReadPin on this thread.
   std::shared_ptr<const EpochChain> LatestChain() const;
 
   /// Atomically replaces the current chain (ingest batch publication,
@@ -160,7 +164,7 @@ class TripleStore {
   /// ReadPins see `chain`. Refreshes the store.delta.* gauges.
   void PublishChain(std::shared_ptr<const EpochChain> chain);
 
-  /// Rebuilds and publishes a chain over the store's own frozen base from
+  /// Rebuilds and publishes a chain over the current base from
   /// snapshot-restored delta layers: merged stats, visible-triple count
   /// and delta totals are recomputed here, so the loader only supplies
   /// the layers and the epoch the image was saved at. Requires live().
@@ -169,14 +173,6 @@ class TripleStore {
 
   /// Number of delta layers above the base (0 on non-live stores).
   uint64_t chain_depth() const;
-
-  /// The whole permutation as a base-plus-deltas view of an explicit
-  /// chain (rather than the calling thread's pinned one). Compaction
-  /// folds a snapshot of the chain while newer batches keep publishing,
-  /// so it needs ranges over exactly the chain it snapshotted. The
-  /// returned range keeps `chain` alive.
-  IndexRange ChainPermutationRange(std::shared_ptr<const EpochChain> chain,
-                                   Perm perm) const;
 
   /// Point-in-time chain summary for /healthz and the introspection
   /// report. `live == false` zeroes the rest.
@@ -195,17 +191,22 @@ class TripleStore {
   /// read between construction and destruction (Match, size,
   /// freeze_epoch, stats, ...) answers from the pinned chain even if
   /// ingest or compaction publishes newer chains meanwhile — one query
-  /// sees one epoch. No-op on non-live stores. Scoped, per-thread,
-  /// nestable (innermost pin wins).
+  /// sees one epoch — and every range a read returns stays valid. No-op
+  /// on non-live stores, and on a thread that already pins this store
+  /// (the outer pin's chain serves the nested scope). Scoped, per-thread.
+  /// A non-null `chain` (one taken on a parent thread by chain()) is
+  /// pinned instead of the latest, so pool helpers read the parent's
+  /// epoch.
   class ReadPin {
    public:
-    explicit ReadPin(const TripleStore& store);
+    explicit ReadPin(const TripleStore& store,
+                     std::shared_ptr<const EpochChain> chain = nullptr);
     ~ReadPin();
     ReadPin(const ReadPin&) = delete;
     ReadPin& operator=(const ReadPin&) = delete;
 
    private:
-    const TripleStore* store_ = nullptr;  // null => store was not live
+    const TripleStore* store_ = nullptr;  // null => nothing pushed
   };
 
   /// --- Index format -------------------------------------------------------
@@ -216,44 +217,27 @@ class TripleStore {
   IndexFormat index_format() const { return format_; }
   void set_index_format(IndexFormat f) { format_ = f; }
 
-  /// True when the store currently serves compressed block indexes.
-  bool compressed_index() const { return spo_blocks_ != nullptr; }
+  /// True when the current base serves compressed block indexes.
+  bool compressed_index() const;
 
   /// --- Snapshot restore (src/storage/) -----------------------------------
 
-  /// Installs a fully built frozen image whose spans alias externally
-  /// owned memory (typically a memory-mapped snapshot) which `keepalive`
-  /// keeps valid; the store holds the keepalive until destruction or the
-  /// first mutation (which materializes owned copies first). The three
-  /// arrays must already be sorted in their permutation orders and
-  /// deduplicated, `stats` must match them, `directory` must describe
-  /// `spo` (the loader builds it during its sort validation), and every
-  /// id must be interned in dictionary(). Marks the store frozen at
-  /// `epoch`. Replaces any previous triple data.
-  void AdoptFrozenView(std::span<const EncodedTriple> spo,
-                       std::span<const EncodedTriple> pos,
-                       std::span<const EncodedTriple> osp,
-                       std::unordered_map<TermId, PredicateStats> stats,
-                       SubjectDirectory directory, uint64_t epoch,
-                       std::shared_ptr<const void> keepalive);
+  /// Installs a fully built base as the store's data, frozen at `epoch`
+  /// (a depth-0 chain). The base's permutations must be sorted and
+  /// deduplicated, its stats and SPO directory must describe them, every
+  /// id must be interned in dictionary(), and a borrowed base's
+  /// `keepalive` must hold the memory it aliases. Replaces any previous
+  /// triple data.
+  void Adopt(std::shared_ptr<const FrozenBase> base, uint64_t epoch);
 
-  /// Compressed-format adoption: the three permutations arrive as
-  /// CompressedPermutation objects whose skip/payload storage is either
-  /// owned or borrowed from `keepalive` (which may be null when all three
-  /// own their storage). storage/ validates every block before calling
-  /// this (and builds `directory` while decoding the SPO blocks). Same
-  /// frozen-at-epoch semantics as AdoptFrozenView.
-  void AdoptFrozenCompressed(CompressedPermutation spo,
-                             CompressedPermutation pos,
-                             CompressedPermutation osp,
-                             std::unordered_map<TermId, PredicateStats> stats,
-                             SubjectDirectory directory, uint64_t epoch,
-                             std::shared_ptr<const void> keepalive);
+  /// True while the current base borrows a loaded snapshot image — mapped
+  /// file or heap buffer (diagnostics; false after a re-Freeze or a
+  /// compaction installs owned storage).
+  bool borrows_snapshot() const;
 
-  /// True while the indexes borrow a loaded snapshot image — mapped file
-  /// or heap buffer (diagnostics; flips to false when a mutation
-  /// materializes owned copies).
-  bool borrows_snapshot() const { return keepalive_ != nullptr; }
+  /// The base of the chain this thread reads (snapshot writing,
+  /// diagnostics). A range-returning read: pinned on live stores.
+  const FrozenBase& base() const;
 
   /// --- Term access -------------------------------------------------------
 
@@ -277,10 +261,10 @@ class TripleStore {
 
   /// --- Matching (requires frozen()) --------------------------------------
 
-  /// All triples matching the pattern, as a contiguous sorted range inside
-  /// one of the index permutations. Triple component order is always s/p/o
-  /// regardless of which permutation serves it. The range is valid until
-  /// the store's next mutation (exactly the old span lifetime rule).
+  /// All triples matching the pattern, as a sorted range of one index
+  /// permutation. Triple component order is always s/p/o regardless of
+  /// which permutation serves it. The range is valid until the store's
+  /// next mutation, and on a live store while the caller's ReadPin holds.
   IndexRange Match(const TriplePattern& pattern) const;
 
   /// Number of triples matching a pattern. Pure index-range arithmetic:
@@ -289,18 +273,16 @@ class TripleStore {
   uint64_t CountMatches(const TriplePattern& pattern) const;
 
   /// True if at least one triple matches.
-  bool Exists(const TriplePattern& pattern) const {
-    return !Match(pattern).empty();
-  }
+  bool Exists(const TriplePattern& pattern) const;
 
-  /// The whole permutation as an IndexRange (merge joins, full scans).
-  /// When `directory` is non-null it receives the subject directory whose
-  /// positions index the returned range, resolved against the same chain:
-  /// the frozen base's for kSpo, or on a live store the compacted base's
-  /// while the chain has no delta layers. It is set to null for other
-  /// permutations, for merges over delta layers (those probes keep
-  /// galloping) and for bases without a directory. The directory lives as
-  /// long as the returned range (merged ranges pin their chain).
+  /// The triples of `perm` between the sentinels `lo` and `hi`
+  /// (inclusive, in `perm`'s key order), as EpochChain::Clip answers them
+  /// on the chain this thread reads — including the subject directory
+  /// handed back when the range is the base's whole SPO permutation.
+  IndexRange Range(Perm perm, const EncodedTriple& lo, const EncodedTriple& hi,
+                   const SubjectDirectory** directory = nullptr) const;
+
+  /// The whole permutation (Range over the full key space).
   IndexRange PermutationRange(
       Perm perm, const SubjectDirectory** directory = nullptr) const;
 
@@ -316,43 +298,14 @@ class TripleStore {
   /// Statistics for a predicate (zeroes for unknown predicates).
   PredicateStats predicate_stats(TermId p) const;
 
-  /// All predicate statistics (snapshot serialization).
-  const std::unordered_map<TermId, PredicateStats>& all_predicate_stats()
-      const {
-    return stats_;
-  }
-
-  /// The three sorted index permutations as contiguous spans (canonical
-  /// triple list = spo_span()). Raw-format stores only — compressed stores
-  /// have no contiguous triple arrays (use PermutationRange / the snapshot
-  /// writer's compressed path); calling these on one is a programming
-  /// error. Require frozen().
-  std::span<const EncodedTriple> spo_span() const {
-    assert(!compressed_index());
-    return SpoView();
-  }
-  std::span<const EncodedTriple> pos_span() const {
-    assert(!compressed_index());
-    return PosView();
-  }
-  std::span<const EncodedTriple> osp_span() const {
-    assert(!compressed_index());
-    return OspView();
-  }
-
-  /// Compressed permutations (null on raw-format stores). Snapshot
-  /// serialization reads the skip/payload parts through these.
-  const CompressedPermutation* spo_blocks() const { return spo_blocks_.get(); }
-  const CompressedPermutation* pos_blocks() const { return pos_blocks_.get(); }
-  const CompressedPermutation* osp_blocks() const { return osp_blocks_.get(); }
-
   /// --- Size accounting ----------------------------------------------------
 
   uint64_t size() const;
 
-  /// Heap vs mapped breakdown (see StoreMemory). A zero-copy loaded store
-  /// reports its borrowed image under mapped_bytes instead of silently
-  /// dropping it from the total.
+  /// Heap vs mapped breakdown of the dictionary, the pending buffer and
+  /// the chain this thread reads (see StoreMemory). A zero-copy loaded
+  /// store reports its borrowed image under mapped_bytes instead of
+  /// silently dropping it from the total.
   StoreMemory MemoryBreakdown() const;
 
   /// Total footprint in bytes: heap + mapped.
@@ -382,74 +335,41 @@ class TripleStore {
 #endif
   };
 
-  /// Owned-or-borrowed raw view selection. While keepalive_ is set (and
-  /// the store is raw-format) the spans alias the mapped image; otherwise
-  /// they are the owned vectors.
-  std::span<const EncodedTriple> SpoView() const {
-    return keepalive_ ? spo_view_ : std::span<const EncodedTriple>(spo_);
-  }
-  std::span<const EncodedTriple> PosView() const {
-    return keepalive_ ? pos_view_ : std::span<const EncodedTriple>(pos_);
-  }
-  std::span<const EncodedTriple> OspView() const {
-    return keepalive_ ? osp_view_ : std::span<const EncodedTriple>(osp_);
-  }
-
-  /// Converts any borrowed or compressed representation back into owned
-  /// raw vectors and drops the keepalive, so mutation can proceed on owned
-  /// storage. No-op for owned raw stores.
-  void Materialize();
-
-  /// Reorders [first,last) of spo_ range helpers.
-  void BuildIndexes(util::ThreadPool* pool);
-  void ComputeStats(util::ThreadPool* pool);
-  void CompressIndexes(util::ThreadPool* pool);
-  /// PermutationRange over the store's own frozen arrays/blocks, ignoring
-  /// any epoch chain (the chain's base when EpochChain::base is null).
-  IndexRange ClassicPermutationRange(Perm perm) const;
-  /// The chain reads on this thread should use (see live_chain()).
-  std::shared_ptr<const EpochChain> PinnedChain() const;
-  /// size() of the store's own frozen arrays (the chain-base size).
-  uint64_t ClassicSize() const;
+  /// The chain reads on this thread answer from: the store's only chain
+  /// on non-live stores (no lock), the thread's pin on live ones.
+  /// Unpinned live reads are asserted in debug builds and answer from
+  /// the latest chain otherwise (valid until the next publication).
+  const EpochChain& ReadChain() const;
   /// Refreshes store.epoch / store.delta.* / store.triples after a chain
   /// publication.
   void UpdateChainGauges(const EpochChain& chain) const;
   /// Refreshes the store.* gauges (triples, heap/mapped bytes, per-index
   /// bytes) after any freeze/adopt.
   void UpdateStoreGauges() const;
-  void ResetIndexState();
 
   Dictionary dict_;
-  // The three permutations each store full (s,p,o) triples sorted by a
-  // different key order. spo_ doubles as the canonical triple list.
-  std::vector<EncodedTriple> spo_;  // sorted by (s, p, o)
-  std::vector<EncodedTriple> pos_;  // sorted by (p, o, s)
-  std::vector<EncodedTriple> osp_;  // sorted by (o, s, p)
-  // Borrowed-index state (AdoptFrozenView): spans into `keepalive_`.
-  std::span<const EncodedTriple> spo_view_;
-  std::span<const EncodedTriple> pos_view_;
-  std::span<const EncodedTriple> osp_view_;
-  // Compressed-format state (Freeze under kCompressed / snapshot
-  // adoption); when set, the raw vectors/views above are empty.
-  std::unique_ptr<CompressedPermutation> spo_blocks_;
-  std::unique_ptr<CompressedPermutation> pos_blocks_;
-  std::unique_ptr<CompressedPermutation> osp_blocks_;
-  std::shared_ptr<const void> keepalive_;
-  // Subject runs of the SPO permutation above (raw or compressed).
-  SubjectDirectory directory_;
-  std::unordered_map<TermId, PredicateStats> stats_;
+  // Add() buffer. While !frozen_ it holds every triple of the store (the
+  // first Add() after a freeze copies the base's triples in first).
+  std::vector<EncodedTriple> pending_;
   IndexFormat format_ = IndexFormat::kRaw;
   bool frozen_ = false;
-  uint64_t freeze_epoch_ = 0;
-  // Live-mode state (EnterLive): the current epoch chain, replaced under
-  // chain_mu_ by every publication and copied out under it (LatestChain),
-  // once per ReadPin. live_ flips true exactly once, after the first
-  // chain is in place; frozen stores never touch chain_.
+  // The current epoch chain, never null (an empty base at epoch 0 before
+  // the first freeze). Non-live stores read it without a lock: nothing
+  // replaces it while reads run. Live stores replace it under chain_mu_
+  // per publication and copy it out under it, once per ReadPin. live_
+  // flips true exactly once.
   std::atomic<bool> live_{false};
   mutable std::mutex chain_mu_;
   std::shared_ptr<const EpochChain> chain_;
   mutable std::atomic<int> active_readers_{0};
 };
+
+/// pool->ParallelFor(n, fn), with every helper reading the chain of
+/// `store` the calling thread reads: pool threads do not inherit the
+/// caller's ReadPin, so a fan-out inside a pinned request would otherwise
+/// read whatever epoch is latest (and, on a live store, unpinned).
+void ParallelForPinned(util::ThreadPool* pool, const TripleStore& store,
+                       size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace re2xolap::rdf
 

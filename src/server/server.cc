@@ -567,7 +567,13 @@ std::unique_ptr<Server::Conn> Server::HandleOneRequest(
   requests_.fetch_add(1, std::memory_order_relaxed);
   Metrics().requests.Inc();
 
-  HttpResponse resp = Dispatch(req, arrival);
+  HttpResponse resp;
+  {
+    // One epoch per request: a /session request's ReOLAP probes and its
+    // execution, a query and its labels all read the chain pinned here.
+    rdf::TripleStore::ReadPin pin(*dataset_.store);
+    resp = Dispatch(req, arrival);
+  }
 
   const bool keep_alive =
       req.keep_alive && !stopping_.load(std::memory_order_acquire);

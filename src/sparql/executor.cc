@@ -449,6 +449,9 @@ util::Result<ResultTable> Execute(const rdf::TripleStore& store,
                                   const SelectQuery& query,
                                   const ExecOptions& options,
                                   ExecStats* stats) {
+  // One epoch for the whole query (no-op on non-live stores and under
+  // the caller's own pin).
+  rdf::TripleStore::ReadPin pin(store);
   obs::QueryRecordScope record(obs::QueryOp::kSparqlExecute);
   ExecStats local_stats;
   if (record.active()) {
@@ -464,6 +467,7 @@ util::Result<ResultTable> Execute(const rdf::TripleStore& store,
                                   const SelectQuery& query, const Plan& plan,
                                   const ExecOptions& options,
                                   ExecStats* stats) {
+  rdf::TripleStore::ReadPin pin(store);
   obs::QueryRecordScope record(obs::QueryOp::kSparqlExecute);
   ExecStats local_stats;
   if (record.active()) {

@@ -311,8 +311,6 @@ util::Status VectorizedRunner::RunStage(size_t stage,
   if (!cs.run_located) {
     const bool subject_led = cs.perm == Perm::kSpo && cs.const_prefix == 0 &&
                              !cs.key.empty();
-    rdf::IndexRange index =
-        store_.PermutationRange(cs.perm, subject_led ? &cs.directory : nullptr);
     cs.lo_base = {rdf::kInvalidTermId, rdf::kInvalidTermId,
                   rdf::kInvalidTermId};
     cs.hi_base = {kMaxTermId, kMaxTermId, kMaxTermId};
@@ -320,15 +318,8 @@ util::Status VectorizedRunner::RunStage(size_t stage,
       SetComp(&cs.lo_base, cs.key[i].pos, cs.key[i].cid);
       SetComp(&cs.hi_base, cs.key[i].pos, cs.key[i].cid);
     }
-    if (cs.const_prefix == 0) {
-      cs.run = index;
-    } else {
-      const uint64_t first = index.LowerBound(cs.lo_base, &cs.search_scratch);
-      uint64_t last =
-          index.GallopUpperBound(first, cs.hi_base, &cs.search_scratch);
-      if (last < first) last = first;
-      cs.run = index.Slice(first, last);
-    }
+    cs.run = store_.Range(cs.perm, cs.lo_base, cs.hi_base,
+                          subject_led ? &cs.directory : nullptr);
     cs.run_located = true;
   }
 
@@ -339,6 +330,13 @@ util::Status VectorizedRunner::RunStage(size_t stage,
   uint64_t prev_lb = 0;
   uint64_t prev_ub = 0;
   std::vector<uint32_t> sel;  // passing candidates when checks apply
+  // A run that several chain sources cover (a live store's delta layers
+  // touch the step's window) is probed per row instead: each row's
+  // window is clipped on its own, so a row that one source covers alone
+  // reads that source's span, and only rows the layers touch merge.
+  const bool probe_per_row = cs.run.merged();
+  rdf::IndexRange row_run;
+  const rdf::IndexRange* src = &cs.run;
 
   // Subject-led probes over a raw base: the subjects of later rows are
   // already in the input block, so their directory entries and SPO runs
@@ -394,7 +392,12 @@ util::Status VectorizedRunner::RunStage(size_t stage,
         SetComp(&lo, k.pos[i], k.val[i]);
         SetComp(&hi, k.pos[i], k.val[i]);
       }
-      if (cs.directory != nullptr) {
+      if (probe_per_row) {
+        row_run = store_.Range(cs.perm, lo, hi);
+        src = &row_run;
+        lb = 0;
+        ub = row_run.size();
+      } else if (cs.directory != nullptr) {
         // Subject-led probe: the directory hands back the subject's run,
         // and only a bound predicate (and object) is searched inside it.
         const auto [first, last] = cs.directory->Run(k.val[0]);
@@ -443,7 +446,7 @@ util::Status VectorizedRunner::RunStage(size_t stage,
       // compressed runs stop at the next block boundary, so `chunk` may
       // fall short of `want` and the loop fetches the next block.
       const std::span<const rdf::EncodedTriple> tri =
-          cs.run.Fetch(cur, want, &cs.fetch_scratch);
+          src->Fetch(cur, want, &cs.fetch_scratch);
       const size_t chunk = tri.size();
       // Scanned entries are counted and charged as they are consumed, in
       // chunks bounded by the block capacity: guard polling granularity

@@ -159,12 +159,15 @@ class VectorizedRunner {
     // Constant-prefix run, located lazily on first use and cached for the
     // rest of the run (the prefix never varies). Raw-format stores back it
     // with a zero-copy span; compressed stores with a block range whose
-    // seeks gallop over the skip keys (rdf/index_cursor.h).
+    // seeks gallop over the skip keys (rdf/index_cursor.h). A merged run
+    // (a live store's delta layers share the window with the base) is
+    // not searched: each row's window is read from the store instead.
     bool run_located = false;
     rdf::IndexRange run;
     // Subject-led SPO probes with no constant prefix: the subject
     // directory indexing `run`, which turns each probe's subject seek
-    // into one array read (null when the store has none for this range).
+    // into one array read (null unless `run` is the base's whole SPO
+    // permutation).
     const rdf::SubjectDirectory* directory = nullptr;
     // Per-row lo/hi sentinel templates: constant prefix baked in,
     // remaining components 0 / kMaxTermId. Probes copy these and stamp

@@ -983,19 +983,16 @@ util::Status SaveSnapshotImpl(const std::string& path,
   // epoch (no-op on non-live stores). Live saves additionally require
   // quiesced ingestion — see the format notes in snapshot.h.
   rdf::TripleStore::ReadPin pin(store);
-  std::shared_ptr<const rdf::EpochChain> chain = store.live_chain();
-  const rdf::LiveBase* live_base = chain ? chain->base.get() : nullptr;
-  const bool live_layers = chain != nullptr && !chain->layers.empty();
+  std::shared_ptr<const rdf::EpochChain> chain = store.chain();
+  const rdf::FrozenBase& base = *chain->base;
+  const bool live_layers = !chain->layers.empty();
   if (store.size() == 0) {
     return util::Status::InvalidArgument(
         "refusing to snapshot an empty store: nothing to persist");
   }
-  // The index trio always carries the chain's base (the whole store on
-  // non-live stores); visible = base + delta adds - delta dels.
-  const uint64_t base_triples =
-      chain == nullptr
-          ? store.size()
-          : store.size() + chain->delta_dels - chain->delta_adds;
+  // The index trio carries the chain's base; visible = base + delta
+  // adds - delta dels.
+  const uint64_t base_triples = base.size();
   if (base_triples == 0) {
     return util::Status::InvalidArgument(
         "refusing to snapshot a live store whose chain base is empty; "
@@ -1022,29 +1019,18 @@ util::Status SaveSnapshotImpl(const std::string& path,
     p.bytes = bytes;
     sections.push_back(std::move(p));
   };
-  // A compacted chain base lives in the chain's LiveBase vectors (always
-  // raw), not in the store's own arrays — those still hold the stale
-  // pre-ingestion data.
-  const bool compressed = live_base == nullptr && store.compressed_index();
+  const bool compressed = base.compressed();
   add(SectionId::kDictionary);
-  if (live_base != nullptr) {
-    add(SectionId::kSpo, live_base->spo.data(),
-        live_base->spo.size() * sizeof(EncodedTriple));
-    add(SectionId::kPos, live_base->pos.data(),
-        live_base->pos.size() * sizeof(EncodedTriple));
-    add(SectionId::kOsp, live_base->osp.data(),
-        live_base->osp.size() * sizeof(EncodedTriple));
-  } else if (compressed) {
+  if (compressed) {
     add(SectionId::kSpoBlocks);
     add(SectionId::kPosBlocks);
     add(SectionId::kOspBlocks);
   } else {
-    add(SectionId::kSpo, store.spo_span().data(),
-        store.spo_span().size_bytes());
-    add(SectionId::kPos, store.pos_span().data(),
-        store.pos_span().size_bytes());
-    add(SectionId::kOsp, store.osp_span().data(),
-        store.osp_span().size_bytes());
+    for (auto [id, perm] : {std::pair{SectionId::kSpo, rdf::Perm::kSpo},
+                            std::pair{SectionId::kPos, rdf::Perm::kPos},
+                            std::pair{SectionId::kOsp, rdf::Perm::kOsp}}) {
+      add(id, base.raw(perm).data(), base.raw(perm).size_bytes());
+    }
   }
   add(SectionId::kPredicateStats);
   if (text != nullptr) add(SectionId::kTextIndex);
@@ -1068,10 +1054,7 @@ util::Status SaveSnapshotImpl(const std::string& path,
         // The stats section matches the index trio, i.e. the chain base:
         // the loader re-applies the delta layers' stat adjustments when it
         // republishes the chain (TripleStore::RestoreChain).
-        s.status = EncodeStats(live_base != nullptr
-                                   ? live_base->stats
-                                   : store.all_predicate_stats(),
-                               &s.buf);
+        s.status = EncodeStats(base.stats, &s.buf);
         break;
       case SectionId::kTextIndex:
         s.status = EncodeTextIndex(*text, options.guard, &s.buf);
@@ -1080,13 +1063,13 @@ util::Status SaveSnapshotImpl(const std::string& path,
         s.status = EncodeVsg(*vsg, &s.buf);
         break;
       case SectionId::kSpoBlocks:
-        s.status = EncodeCompressedPerm(*store.spo_blocks(), &s.buf);
+        s.status = EncodeCompressedPerm(base.blocks(rdf::Perm::kSpo), &s.buf);
         break;
       case SectionId::kPosBlocks:
-        s.status = EncodeCompressedPerm(*store.pos_blocks(), &s.buf);
+        s.status = EncodeCompressedPerm(base.blocks(rdf::Perm::kPos), &s.buf);
         break;
       case SectionId::kOspBlocks:
-        s.status = EncodeCompressedPerm(*store.osp_blocks(), &s.buf);
+        s.status = EncodeCompressedPerm(base.blocks(rdf::Perm::kOsp), &s.buf);
         break;
       case SectionId::kDeltaChain:
         s.status = EncodeDeltaChain(*chain, &s.buf);
@@ -1369,20 +1352,24 @@ util::Result<LoadedSnapshot> LoadSnapshotImpl(
   }
 
   // Both modes adopt the index sections as views into the loaded image —
-  // a mapped file or an owned heap buffer — with the image as keepalive,
-  // so no index bytes are copied. The first mutation materializes owned
-  // vectors either way; heap-mode loads are file-independent the moment
-  // this returns (the buffer, not the file, backs the views).
+  // a mapped file or an owned heap buffer — with the image as the base's
+  // keepalive, so no index bytes are copied. Heap-mode loads are
+  // file-independent the moment this returns (the buffer, not the file,
+  // backs the views); the image lives as long as a chain holds the base.
+  auto frozen = std::make_shared<rdf::FrozenBase>();
   if (compressed_trio) {
-    out.store->AdoptFrozenCompressed(std::move(spo_cp), std::move(pos_cp),
-                                     std::move(osp_cp), std::move(stats),
-                                     std::move(directory), info.freeze_epoch,
-                                     keepalive);
+    frozen->SetBlocks(rdf::Perm::kSpo, std::move(spo_cp));
+    frozen->SetBlocks(rdf::Perm::kPos, std::move(pos_cp));
+    frozen->SetBlocks(rdf::Perm::kOsp, std::move(osp_cp));
   } else {
-    out.store->AdoptFrozenView(spo, pos, osp, std::move(stats),
-                               std::move(directory), info.freeze_epoch,
-                               keepalive);
+    frozen->Borrow(rdf::Perm::kSpo, spo);
+    frozen->Borrow(rdf::Perm::kPos, pos);
+    frozen->Borrow(rdf::Perm::kOsp, osp);
   }
+  frozen->directory = std::move(directory);
+  frozen->stats = std::move(stats);
+  frozen->keepalive = std::move(keepalive);
+  out.store->Adopt(std::move(frozen), info.freeze_epoch);
   // Version 3: the adopted trio is the chain base — resume live mode and
   // republish the saved layers at the saved epoch (RestoreChain recomputes
   // merged stats, visible count and delta totals from the layers).

@@ -36,8 +36,8 @@
 // per block, 8-aligned because sections start 64-aligned), then the
 // delta/vbyte payload (see rdf/compressed_index.h). The loader validates
 // every block (checksum, strict ordering, term-id ranges, cross-block
-// boundaries) before adopting the skip/payload spans zero-copy via
-// TripleStore::AdoptFrozenCompressed. Raw-format stores keep writing
+// boundaries) before adopting the skip/payload spans zero-copy as the
+// store's base (TripleStore::Adopt). Raw-format stores keep writing
 // version 1 images byte-identical to pre-v2 builds, and version 1 images
 // load unchanged.
 //
@@ -173,8 +173,8 @@ struct SnapshotWriteOptions {
 };
 
 /// Options for LoadSnapshot. The three triple-index arrays are always
-/// zero-copy views into the loaded image (the TripleStore keeps the image
-/// alive; see TripleStore::AdoptFrozenView); `use_mmap` selects what backs
+/// zero-copy views into the loaded image (the store's base keeps the image
+/// alive; see TripleStore::Adopt); `use_mmap` selects what backs
 /// the image: the mapped file (lazy page-in, cheapest start) or a heap
 /// buffer read in one pass (independent of the file once loaded).
 /// Dictionary, text and graph sections are always materialized on the

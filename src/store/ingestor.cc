@@ -69,8 +69,10 @@ Result<IngestReceipt> Ingestor::IngestText(std::string_view text, IngestOp op,
   {
     std::lock_guard<std::mutex> lk(ingest_mu_);
     // The chain is stable under ingest_mu_: ingest and the compaction
-    // publish step are the only writers, and both hold it.
-    std::shared_ptr<const EpochChain> chain = store_->live_chain();
+    // publish step are the only writers, and both hold it. The latest
+    // chain, not this thread's pin: a request that pinned an older epoch
+    // must still build on top of every published batch.
+    std::shared_ptr<const EpochChain> chain = store_->LatestChain();
     rdf::Dictionary& dict = store_->dictionary();
 
     std::vector<EncodedTriple> batch;
@@ -105,7 +107,7 @@ Result<IngestReceipt> Ingestor::IngestText(std::string_view text, IngestOp op,
     std::vector<EncodedTriple> final_batch;
     final_batch.reserve(batch.size());
     if (!batch.empty()) {
-      rdf::IndexRange spo = store_->ChainPermutationRange(chain, Perm::kSpo);
+      rdf::IndexRange spo = chain->Range(Perm::kSpo);
       uint64_t from = 0;
       for (const EncodedTriple& t : batch) {
         from = spo.GallopLowerBound(from, t);
@@ -230,13 +232,13 @@ util::Status Ingestor::Compact(const ExecGuard* guard) {
 util::Status Ingestor::CompactNow(const ExecGuard* guard,
                                   util::ThreadPool* merge_pool) {
   const auto started = std::chrono::steady_clock::now();
+  if (!store_->live()) {
+    return Status::InvalidArgument("store is not in live mode");
+  }
   std::shared_ptr<const EpochChain> snap;
   {
     std::lock_guard<std::mutex> lk(ingest_mu_);
-    snap = store_->live_chain();
-  }
-  if (snap == nullptr) {
-    return Status::InvalidArgument("store is not in live mode");
+    snap = store_->LatestChain();
   }
   if (snap->layers.empty()) return Status::OK();
   obs::Span span("store.compact");
@@ -248,14 +250,11 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   // sequential drain of each permutation IS the fold. No lock is held:
   // ingest keeps publishing on top, and readers keep serving whichever
   // chain they pinned.
-  auto base = std::make_shared<rdf::LiveBase>();
+  std::array<std::vector<EncodedTriple>, 3> folded;
   std::array<Status, 3> merge_status;
   auto merge_one = [&](size_t i) {
-    const Perm perm = static_cast<Perm>(i);
-    std::vector<EncodedTriple>& out = perm == Perm::kSpo   ? base->spo
-                                      : perm == Perm::kPos ? base->pos
-                                                           : base->osp;
-    rdf::IndexRange range = store_->ChainPermutationRange(snap, perm);
+    std::vector<EncodedTriple>& out = folded[i];
+    rdf::IndexRange range = snap->Range(static_cast<Perm>(i));
     out.reserve(range.size());
     rdf::IndexCursor cur(range);
     while (!cur.done()) {
@@ -278,12 +277,17 @@ util::Status Ingestor::CompactNow(const ExecGuard* guard,
   for (const Status& st : merge_status) {
     if (!st.ok()) return st;
   }
-  base->stats = rdf::ComputePredicateStats(base->pos, merge_pool);
-  base->directory = rdf::SubjectDirectory::Build(base->spo);
+  auto base = std::make_shared<rdf::FrozenBase>();
+  base->stats = rdf::ComputePredicateStats(folded[1], merge_pool);
+  base->directory = rdf::SubjectDirectory::Build(folded[0]);
+  base->compacted = true;
+  for (size_t i = 0; i < 3; ++i) {
+    base->Own(static_cast<Perm>(i), std::move(folded[i]));
+  }
 
   {
     std::lock_guard<std::mutex> lk(ingest_mu_);
-    std::shared_ptr<const EpochChain> cur_chain = store_->live_chain();
+    std::shared_ptr<const EpochChain> cur_chain = store_->LatestChain();
     // Layers are append-only and compactions are serialized, so the
     // current chain starts with exactly the layers the snapshot folded.
     assert(cur_chain->layers.size() >= snap->layers.size());

@@ -1,26 +1,28 @@
 // Live-ingestion subsystem tests: delta-merge iterator corner cases
 // (duplicate triples, delete-then-reinsert, empty batches), epoch
-// semantics (per-query pinning, cache-key movement), background
-// compaction, the version 3 base-plus-delta snapshot round trip
-// (bit-identity), the POST /ingest HTTP route with per-client fair
-// shedding, and a concurrent read/ingest/compact stress that must be
-// TSan-clean.
+// semantics (per-query pinning, cache-key movement), the clip rule (a
+// range merges only when two or more chain sources cover its window),
+// background compaction and the release of the base it replaces, the
+// version 3 base-plus-delta snapshot round trip (bit-identity), the POST
+// /ingest HTTP route with per-client fair shedding, and a concurrent
+// read/ingest/compact stress that must be TSan-clean.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/query_engine.h"
+#include "rdf/delta_layer.h"
 #include "rdf/ntriples.h"
 #include "rdf/triple_store.h"
 #include "server/http_client.h"
@@ -58,17 +60,21 @@ std::string Line(int s, int p, int o) {
          std::to_string(p) + "> <http://t/o" + std::to_string(o) + "> .\n";
 }
 
+/// One triple as an N-Triples statement (without the newline).
+std::string Render(const rdf::TripleStore& store, const rdf::EncodedTriple& t) {
+  return rdf::ToNTriples(store.term(t.s)) + " " +
+         rdf::ToNTriples(store.term(t.p)) + " " +
+         rdf::ToNTriples(store.term(t.o)) + " .";
+}
+
 /// Every visible triple, rendered to N-Triples text and sorted — the
 /// term-level fingerprint two stores can be compared by even when their
 /// dictionaries assigned ids in different orders.
 std::multiset<std::string> VisibleTriples(const rdf::TripleStore& store) {
   rdf::TripleStore::ReadPin pin(store);
   std::multiset<std::string> out;
-  rdf::IndexRange range = store.PermutationRange(rdf::Perm::kSpo);
-  for (const rdf::EncodedTriple& t : range) {
-    out.insert(rdf::ToNTriples(store.term(t.s)) + " " +
-               rdf::ToNTriples(store.term(t.p)) + " " +
-               rdf::ToNTriples(store.term(t.o)) + " .");
+  for (const rdf::EncodedTriple& t : store.PermutationRange(rdf::Perm::kSpo)) {
+    out.insert(Render(store, t));
   }
   return out;
 }
@@ -97,12 +103,14 @@ struct LiveFixture {
   util::ThreadPool pool{2};
   std::unique_ptr<Ingestor> ingestor;
 
-  explicit LiveFixture(store::IngestorConfig config = {}) {
+  /// `base` is the frozen store to go live (the Figure-1 KG when null).
+  explicit LiveFixture(store::IngestorConfig config = {},
+                       std::unique_ptr<rdf::TripleStore> base = nullptr) {
     // The chaos CI baseline arms store.ingest/store.compact from the
     // environment; these tests assert exact receipts and epochs, so
     // they run clean (FailpointsGateIngestAndCompact arms its own).
     util::FailpointRegistry::Global().DisarmAll();
-    store = BuildFigure1Store();
+    store = base != nullptr ? std::move(base) : BuildFigure1Store();
     store->EnterLive();
     ingestor = std::make_unique<Ingestor>(store.get(), &pool, config);
   }
@@ -228,129 +236,305 @@ TEST(IngestTest, ReadPinGivesEpochConsistentSnapshot) {
 // Randomized merge correctness against an oracle store
 // ---------------------------------------------------------------------------
 
+/// The bases the merged-view suite runs over: how the frozen Figure-1
+/// store that goes live was built.
+enum class BaseKind { kRaw, kCompressed, kMmapRaw, kMmapCompressed, kCompacted };
+
+const char* BaseKindName(BaseKind kind) {
+  switch (kind) {
+    case BaseKind::kRaw:
+      return "raw";
+    case BaseKind::kCompressed:
+      return "compressed";
+    case BaseKind::kMmapRaw:
+      return "mmap raw";
+    case BaseKind::kMmapCompressed:
+      return "mmap compressed";
+    default:
+      return "compacted";
+  }
+}
+
+/// The Figure-1 store frozen in `kind`'s format, loaded back from an mmap
+/// snapshot for the mmap kinds. (kCompacted starts raw; the suite
+/// compacts after its first batch.)
+std::unique_ptr<rdf::TripleStore> FrozenBaseOfKind(BaseKind kind) {
+  auto store = BuildFigure1Store();
+  const bool compressed =
+      kind == BaseKind::kCompressed || kind == BaseKind::kMmapCompressed;
+  store->set_index_format(compressed ? rdf::IndexFormat::kCompressed
+                                     : rdf::IndexFormat::kRaw);
+  store->Freeze();
+  if (kind != BaseKind::kMmapRaw && kind != BaseKind::kMmapCompressed) {
+    return store;
+  }
+  const std::string path = TempPath("merged_base.snap");
+  EXPECT_TRUE(storage::SaveSnapshot(path, *store, nullptr, nullptr).ok());
+  storage::SnapshotLoadOptions options;
+  options.use_mmap = true;
+  auto loaded = storage::LoadSnapshot(path, options);
+  // The mapping outlives the directory entry.
+  std::remove(path.c_str());
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
+  if (!loaded.ok()) return nullptr;
+  EXPECT_TRUE(loaded->store->borrows_snapshot());
+  EXPECT_EQ(loaded->store->compressed_index(), compressed);
+  return std::move(loaded->store);
+}
+
+/// A frozen store holding exactly `lines` (N-Triples statements).
+std::unique_ptr<rdf::TripleStore> OracleOf(
+    const std::multiset<std::string>& lines) {
+  auto oracle = std::make_unique<rdf::TripleStore>();
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  EXPECT_TRUE(rdf::ParseNTriples(text, oracle.get()).ok());
+  oracle->Freeze();
+  return oracle;
+}
+
+/// True when `triples` (sorted or not) hold one in [lo, hi] of `perm`;
+/// a linear scan, independent of EpochChain::Clip.
+template <typename Triples>
+bool AnyInWindow(const Triples& triples, rdf::Perm perm,
+                 const rdf::EncodedTriple& lo, const rdf::EncodedTriple& hi) {
+  for (const rdf::EncodedTriple& t : triples) {
+    if (!rdf::PermLess(perm, t, lo) && !rdf::PermLess(perm, hi, t)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Tallies of the windows MergedViewMatchesRefrozenOracle checked.
+struct WindowTally {
+  int base_only = 0;        // one source: the base
+  int layer_only = 0;       // one source: a layer's inserts
+  int merged = 0;           // two or more sources
+  int with_tombstones = 0;  // merged, a tombstone among the sources
+};
+
+/// Checks one window of the live store: the range is merged exactly when
+/// two or more clipped sources are non-empty, it is sorted, and it holds
+/// the oracle's triples of the same (term-level) window.
+void ExpectWindow(const rdf::TripleStore& live, const rdf::TripleStore& oracle,
+                  rdf::Perm perm, const rdf::EncodedTriple& lo,
+                  const rdf::EncodedTriple& hi, WindowTally* tally) {
+  rdf::TripleStore::ReadPin pin(live);
+  const std::shared_ptr<const rdf::EpochChain> chain = live.chain();
+  const rdf::IndexRange range = live.Range(perm, lo, hi);
+  const bool in_base = AnyInWindow(chain->base->Range(perm), perm, lo, hi);
+  size_t sources = in_base ? 1 : 0;
+  bool tombstones = false;
+  for (const auto& layer : chain->layers) {
+    sources += AnyInWindow(layer->adds(perm), perm, lo, hi) ? 1 : 0;
+    if (AnyInWindow(layer->dels(perm), perm, lo, hi)) {
+      ++sources;
+      tombstones = true;
+    }
+  }
+  EXPECT_EQ(range.merged(), sources >= 2)
+      << sources << " non-empty sources in window (" << lo.s << "," << lo.p
+      << "," << lo.o << ")..(" << hi.s << "," << hi.p << "," << hi.o << ")";
+  if (sources == 1) {
+    ++(in_base ? tally->base_only : tally->layer_only);
+  } else if (sources >= 2) {
+    ++tally->merged;
+    if (tombstones) ++tally->with_tombstones;
+  }
+  std::multiset<std::string> got;
+  rdf::EncodedTriple prev;
+  bool first = true;
+  for (const rdf::EncodedTriple& t : range) {
+    EXPECT_TRUE(first || rdf::PermLess(perm, prev, t)) << "unsorted range";
+    prev = t;
+    first = false;
+    got.insert(Render(live, t));
+  }
+  // The same window over the oracle's ids. A term the oracle lacks maps
+  // to kMaxTermId, which no triple holds, so its window is empty.
+  auto to_oracle = [&](rdf::TermId id) {
+    if (id == rdf::kInvalidTermId || id == rdf::kMaxTermId) return id;
+    const rdf::TermId o = oracle.Lookup(live.term(id));
+    return o == rdf::kInvalidTermId ? rdf::kMaxTermId : o;
+  };
+  std::multiset<std::string> want;
+  for (const rdf::EncodedTriple& t : oracle.Range(
+           perm, {to_oracle(lo.s), to_oracle(lo.p), to_oracle(lo.o)},
+           {to_oracle(hi.s), to_oracle(hi.p), to_oracle(hi.o)})) {
+    want.insert(Render(oracle, t));
+  }
+  EXPECT_EQ(got, want) << "window over perm " << static_cast<int>(perm);
+}
+
 TEST(IngestTest, MergedViewMatchesRefrozenOracle) {
-  // No background compaction: the merged view under test needs the deep
-  // chain the batches build (AutoCompactionTriggersOnDepth covers folds).
-  store::IngestorConfig config;
-  config.auto_compact = false;
-  LiveFixture fx(config);
-  std::mt19937 rng(20260809);
-  std::uniform_int_distribution<int> id(0, 11);
+  // Every read of a chain clips each source to the probe's window and
+  // merges only when two or more clipped sources are non-empty. Checked
+  // on raw, compressed and mmap-loaded bases and on a compacted base,
+  // against a freeze-once oracle of the same visible triples; each chain
+  // is finally compacted and checked again.
+  constexpr rdf::TermId kMax = rdf::kMaxTermId;
+  for (BaseKind kind : {BaseKind::kRaw, BaseKind::kCompressed,
+                        BaseKind::kMmapRaw, BaseKind::kMmapCompressed,
+                        BaseKind::kCompacted}) {
+    SCOPED_TRACE(BaseKindName(kind));
+    // No background compaction: the merged view under test needs the
+    // deep chain the batches build (AutoCompactionTriggersOnDepth covers
+    // folds).
+    store::IngestorConfig config;
+    config.auto_compact = false;
+    LiveFixture fx(config, FrozenBaseOfKind(kind));
+    std::mt19937 rng(20260809);
+    std::uniform_int_distribution<int> id(0, 11);
 
-  // The test-maintained truth: the set of synthetic triples visible now.
-  std::set<std::tuple<int, int, int>> truth;
-  for (int batch = 0; batch < 8; ++batch) {
-    const bool deleting = batch % 3 == 2;
-    std::string text;
-    for (int i = 0; i < 24; ++i) {
-      int s = id(rng), p = id(rng), o = id(rng);
-      if (deleting) {
-        truth.erase({s, p, o});
-      } else {
-        truth.insert({s, p, o});
+    // The test-maintained truth: every visible statement, as text.
+    std::multiset<std::string> truth = VisibleTriples(*fx.store);
+    auto apply = [&](const std::string& text, IngestOp op) {
+      fx.MustIngest(text, op);
+      std::string line;
+      for (char c : text) {
+        if (c != '\n') {
+          line += c;
+          continue;
+        }
+        const auto it = truth.find(line);
+        if (op == IngestOp::kDelete && it != truth.end()) truth.erase(it);
+        if (op == IngestOp::kInsert && it == truth.end()) truth.insert(line);
+        line.clear();
       }
-      text += Line(s, p, o);
+    };
+    // A subject only a layer holds, and a tombstone over a base triple
+    // of an observation whose other triples stay in the base.
+    apply("<http://t/fresh> <http://t/p1> <http://t/o1> .\n",
+          IngestOp::kInsert);
+    if (kind == BaseKind::kCompacted) {
+      ASSERT_TRUE(fx.ingestor->Compact().ok());
+      ASSERT_TRUE(fx.store->live_info().compacted_base);
     }
-    fx.MustIngest(text, deleting ? IngestOp::kDelete : IngestOp::kInsert);
-  }
-  ASSERT_GT(fx.store->chain_depth(), 2u);
-
-  // Oracle: a classic freeze-once store holding base + exactly `truth`.
-  auto oracle = BuildFigure1Store();
-  {
-    std::string all;
-    for (const auto& [s, p, o] : truth) all += Line(s, p, o);
-    // Re-open the frozen oracle for loading, then freeze again.
-    ASSERT_TRUE(rdf::ParseNTriples(all, oracle.get()).ok());
-    oracle->Freeze();
-  }
-  EXPECT_EQ(VisibleTriples(*fx.store), VisibleTriples(*oracle));
-  EXPECT_EQ(fx.store->size(), oracle->size());
-
-  // All three permutations agree triple-by-triple (term-level) and are
-  // sorted in their key orders.
-  for (rdf::Perm perm :
-       {rdf::Perm::kSpo, rdf::Perm::kPos, rdf::Perm::kOsp}) {
-    rdf::TripleStore::ReadPin pin(*fx.store);
-    rdf::IndexRange range = fx.store->PermutationRange(perm);
-    ASSERT_EQ(range.size(), fx.store->size());
-    uint64_t n = 0;
-    for (const rdf::EncodedTriple& t : range) {
-      (void)t;
-      ++n;
+    apply("<http://test/obs/1> <" + std::string(testing::kTypeIri) + "> <" +
+              std::string(testing::kObsClass) + "> .\n",
+          IngestOp::kDelete);
+    for (int batch = 0; batch < 8; ++batch) {
+      const bool deleting = batch % 3 == 2;
+      std::string text;
+      for (int i = 0; i < 24; ++i) text += Line(id(rng), id(rng), id(rng));
+      apply(text, deleting ? IngestOp::kDelete : IngestOp::kInsert);
     }
-    EXPECT_EQ(n, range.size());
-  }
+    ASSERT_GT(fx.store->chain_depth(), 2u);
 
-  // Pattern cardinalities agree for every shape over the id space.
-  auto live_id = [&](const std::string& iri) {
-    return fx.store->Lookup(rdf::Term::Iri(iri));
-  };
-  auto oracle_id = [&](const std::string& iri) {
-    return oracle->Lookup(rdf::Term::Iri(iri));
-  };
-  for (int v = 0; v <= 11; ++v) {
-    const std::string s = "http://t/s" + std::to_string(v);
-    const std::string p = "http://t/p" + std::to_string(v);
-    const std::string o = "http://t/o" + std::to_string(v);
-    EXPECT_EQ(fx.store->CountMatches({live_id(s), 0, 0}),
-              oracle->CountMatches({oracle_id(s), 0, 0}));
-    EXPECT_EQ(fx.store->CountMatches({0, live_id(p), 0}),
-              oracle->CountMatches({0, oracle_id(p), 0}));
-    EXPECT_EQ(fx.store->CountMatches({0, 0, live_id(o)}),
-              oracle->CountMatches({0, 0, oracle_id(o)}));
-    EXPECT_EQ(fx.store->CountMatches({live_id(s), live_id(p), 0}),
-              oracle->CountMatches({oracle_id(s), oracle_id(p), 0}));
-  }
+    auto oracle = OracleOf(truth);
+    EXPECT_EQ(VisibleTriples(*fx.store), truth);
+    EXPECT_EQ(VisibleTriples(*oracle), truth);
+    EXPECT_EQ(fx.store->size(), oracle->size());
 
-  // Merged-range access paths agree with each other: operator[] versus
-  // Fetch chunks versus Slice, plus LowerBound consistency.
-  {
-    rdf::TripleStore::ReadPin pin(*fx.store);
-    rdf::IndexRange range = fx.store->PermutationRange(rdf::Perm::kSpo);
-    if (fx.store->chain_depth() > 0) {
+    // Every window shape Match and the join core probe: whole
+    // permutations, one subject, subject + predicate, one predicate,
+    // one object.
+    WindowTally tally;
+    for (rdf::Perm perm :
+         {rdf::Perm::kSpo, rdf::Perm::kPos, rdf::Perm::kOsp}) {
+      ExpectWindow(*fx.store, *oracle, perm, {0, 0, 0}, {kMax, kMax, kMax},
+                   &tally);
+    }
+    const rdf::TermId terms =
+        static_cast<rdf::TermId>(fx.store->dictionary().size());
+    const std::vector<rdf::TermId> predicates = fx.store->AllPredicates();
+    for (rdf::TermId v = 1; v <= terms; ++v) {
+      ExpectWindow(*fx.store, *oracle, rdf::Perm::kSpo, {v, 0, 0},
+                   {v, kMax, kMax}, &tally);
+      ExpectWindow(*fx.store, *oracle, rdf::Perm::kPos, {0, v, 0},
+                   {kMax, v, kMax}, &tally);
+      ExpectWindow(*fx.store, *oracle, rdf::Perm::kOsp, {0, 0, v},
+                   {kMax, kMax, v}, &tally);
+      for (rdf::TermId p : predicates) {
+        ExpectWindow(*fx.store, *oracle, rdf::Perm::kSpo, {v, p, 0},
+                     {v, p, kMax}, &tally);
+      }
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(tally.base_only, 0);
+    EXPECT_GT(tally.layer_only, 0);
+    EXPECT_GT(tally.merged, 0);
+    EXPECT_GT(tally.with_tombstones, 0);
+    {
+      // The fresh subject reads the layer's span; obs/1's window merges
+      // its base triples with the tombstone.
+      rdf::TripleStore::ReadPin pin(*fx.store);
+      const rdf::TermId fresh =
+          fx.store->Lookup(rdf::Term::Iri("http://t/fresh"));
+      const rdf::IndexRange layer_only = fx.store->Match({fresh, 0, 0});
+      EXPECT_FALSE(layer_only.merged());
+      EXPECT_FALSE(layer_only.compressed());
+      EXPECT_EQ(layer_only.size(), 1u);
+      const rdf::TermId obs1 =
+          fx.store->Lookup(rdf::Term::Iri("http://test/obs/1"));
+      EXPECT_TRUE(fx.store->Match({obs1, 0, 0}).merged());
+      const rdf::TermId obs0 =
+          fx.store->Lookup(rdf::Term::Iri("http://test/obs/0"));
+      EXPECT_FALSE(fx.store->Match({obs0, 0, 0}).merged());
+    }
+
+    // Merged-range access paths agree with each other: operator[] versus
+    // Fetch chunks versus Slice, plus LowerBound consistency.
+    {
+      rdf::TripleStore::ReadPin pin(*fx.store);
+      const rdf::SubjectDirectory* dir = nullptr;
+      rdf::IndexRange range = fx.store->PermutationRange(rdf::Perm::kSpo, &dir);
       EXPECT_TRUE(range.merged());
-    }
-    rdf::IndexBlockScratch scratch;
-    std::vector<rdf::EncodedTriple> fetched;
-    for (uint64_t pos = 0; pos < range.size();) {
-      auto chunk = range.Fetch(pos, 0, &scratch);
-      ASSERT_FALSE(chunk.empty());
-      fetched.insert(fetched.end(), chunk.begin(), chunk.end());
-      pos += chunk.size();
-    }
-    ASSERT_EQ(fetched.size(), range.size());
-    std::uniform_int_distribution<uint64_t> pick(0, range.size() - 1);
-    for (int i = 0; i < 64; ++i) {
-      uint64_t pos = pick(rng);
-      rdf::EncodedTriple t = range[pos];
-      EXPECT_EQ(t, fetched[pos]);
-      // LowerBound of an existing element finds its first occurrence.
-      uint64_t lb = range.LowerBound(t, &scratch);
-      ASSERT_LT(lb, range.size());
-      EXPECT_EQ(range[lb], t);
-      // Slicing preserves the merged backing and the elements.
-      uint64_t hi = std::min(pos + 5, range.size());
-      rdf::IndexRange slice = range.Slice(pos, hi);
-      ASSERT_EQ(slice.size(), hi - pos);
-      for (uint64_t j = 0; j < slice.size(); ++j) {
-        EXPECT_EQ(slice[j], fetched[pos + j]);
+      EXPECT_EQ(dir, nullptr);
+      rdf::IndexBlockScratch scratch;
+      std::vector<rdf::EncodedTriple> fetched;
+      for (uint64_t pos = 0; pos < range.size();) {
+        auto chunk = range.Fetch(pos, 0, &scratch);
+        ASSERT_FALSE(chunk.empty());
+        fetched.insert(fetched.end(), chunk.begin(), chunk.end());
+        pos += chunk.size();
+      }
+      ASSERT_EQ(fetched.size(), range.size());
+      std::uniform_int_distribution<uint64_t> pick(0, range.size() - 1);
+      for (int i = 0; i < 64; ++i) {
+        uint64_t pos = pick(rng);
+        rdf::EncodedTriple t = range[pos];
+        EXPECT_EQ(t, fetched[pos]);
+        // LowerBound of an existing element finds its first occurrence.
+        uint64_t lb = range.LowerBound(t, &scratch);
+        ASSERT_LT(lb, range.size());
+        EXPECT_EQ(range[lb], t);
+        // Slicing preserves the merged backing and the elements.
+        uint64_t hi = std::min(pos + 5, range.size());
+        rdf::IndexRange slice = range.Slice(pos, hi);
+        ASSERT_EQ(slice.size(), hi - pos);
+        for (uint64_t j = 0; j < slice.size(); ++j) {
+          EXPECT_EQ(slice[j], fetched[pos + j]);
+        }
       }
     }
-  }
 
-  // The executor produces the oracle's answers over the live store.
-  const char* kQueries[] = {
-      "SELECT ?s ?o WHERE { ?s <http://t/p1> ?o }",
-      "SELECT ?s WHERE { ?s <http://t/p1> ?x . ?x <http://t/p2> ?y }",
-      "SELECT ?obs WHERE { ?obs a <http://test/Observation> }",
-  };
-  for (const char* query : kQueries) {
-    auto live = sparql::ExecuteText(*fx.store, query);
-    auto expect = sparql::ExecuteText(*oracle, query);
-    ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
-    ASSERT_TRUE(expect.ok()) << expect.status();
-    EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
+    // The executor produces the oracle's answers over the live store.
+    const char* kQueries[] = {
+        "SELECT ?s ?o WHERE { ?s <http://t/p1> ?o }",
+        "SELECT ?s WHERE { ?s <http://t/p1> ?x . ?x <http://t/p2> ?y }",
+        "SELECT ?obs WHERE { ?obs a <http://test/Observation> }",
+        "SELECT ?obs ?d WHERE { ?obs a <http://test/Observation> . "
+        "?obs <http://test/countryDestination> ?d }",
+    };
+    for (const char* query : kQueries) {
+      auto live = sparql::ExecuteText(*fx.store, query);
+      auto expect = sparql::ExecuteText(*oracle, query);
+      ASSERT_TRUE(live.ok()) << live.status() << "\nquery: " << query;
+      ASSERT_TRUE(expect.ok()) << expect.status();
+      EXPECT_EQ(SortedRows(*live), SortedRows(*expect)) << "query: " << query;
+    }
+
+    // Folding the chain keeps the visible set, and the folded base reads
+    // as one source with its directory.
+    ASSERT_TRUE(fx.ingestor->Compact().ok());
+    EXPECT_EQ(VisibleTriples(*fx.store), truth);
+    rdf::TripleStore::ReadPin pin(*fx.store);
+    const rdf::SubjectDirectory* dir = nullptr;
+    EXPECT_FALSE(
+        fx.store->PermutationRange(rdf::Perm::kSpo, &dir).merged());
+    EXPECT_NE(dir, nullptr);
   }
 }
 
@@ -393,6 +577,115 @@ TEST(IngestTest, CompactionFoldsChainPreservingVisibleSet) {
   EXPECT_EQ(VisibleTriples(*fx.store).count(
                 "<http://t/s4> <http://t/p2> <http://t/o4> ."),
             1u);
+}
+
+/// A live store over an mmap-loaded snapshot of the Figure-1 KG, with
+/// explicit compaction only. `path` names the image, already unlinked
+/// (the mapping outlives the directory entry).
+std::unique_ptr<LiveFixture> MmapLiveFixture(const std::string& path) {
+  {
+    auto source = BuildFigure1Store();
+    EXPECT_TRUE(storage::SaveSnapshot(path, *source, nullptr, nullptr).ok());
+  }
+  storage::SnapshotLoadOptions options;
+  options.use_mmap = true;
+  auto loaded = storage::LoadSnapshot(path, options);
+  std::remove(path.c_str());
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
+  if (!loaded.ok()) return nullptr;
+  store::IngestorConfig config;
+  config.auto_compact = false;
+  return std::make_unique<LiveFixture>(config, std::move(loaded->store));
+}
+
+/// True while this process maps a file whose name contains `path`.
+bool Mapped(const std::string& path) {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    if (line.find(path) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(IngestTest, CompactionReleasesTheSnapshotBase) {
+  const std::string path = TempPath("release.snap");
+  std::unique_ptr<LiveFixture> fx = MmapLiveFixture(path);
+  ASSERT_NE(fx, nullptr);
+  EXPECT_GT(fx->store->MemoryBreakdown().mapped_bytes, 0u);
+  EXPECT_TRUE(Mapped(path));
+  std::weak_ptr<const rdf::FrozenBase> image_base =
+      fx->store->LatestChain()->base;
+
+  std::multiset<std::string> truth = VisibleTriples(*fx->store);
+  const std::string base_triple = "<http://test/obs/2> <" +
+                                  std::string(testing::kTypeIri) + "> <" +
+                                  std::string(testing::kObsClass) + "> .";
+  fx->MustIngest(Line(1, 1, 1) + Line(2, 1, 2));
+  fx->MustIngest(base_triple + "\n", IngestOp::kDelete);
+  truth.insert("<http://t/s1> <http://t/p1> <http://t/o1> .");
+  truth.insert("<http://t/s2> <http://t/p1> <http://t/o2> .");
+  truth.erase(truth.find(base_triple));
+  ASSERT_TRUE(fx->ingestor->Compact().ok());
+
+  // No pin holds a chain over the image's base any more: the base and
+  // with it the mapping are gone, and the store accounts one base.
+  EXPECT_TRUE(image_base.expired());
+  EXPECT_FALSE(Mapped(path));
+  EXPECT_FALSE(fx->store->borrows_snapshot());
+  const rdf::StoreMemory m = fx->store->MemoryBreakdown();
+  EXPECT_EQ(m.mapped_bytes, 0u);
+  {
+    rdf::TripleStore::ReadPin pin(*fx->store);
+    const rdf::FrozenBase& base = fx->store->base();
+    EXPECT_TRUE(base.compacted);
+    EXPECT_EQ(base.size(), truth.size());
+    EXPECT_EQ(m.heap_bytes,
+              fx->store->dictionary().MemoryUsage() + base.heap_bytes());
+    EXPECT_LT(base.heap_bytes(),
+              2 * 3 * truth.size() * sizeof(rdf::EncodedTriple));
+  }
+  EXPECT_EQ(VisibleTriples(*fx->store), truth);
+  EXPECT_EQ(VisibleTriples(*OracleOf(truth)), truth);
+}
+
+TEST(IngestTest, PinnedChainOutlivesCompaction) {
+  const std::string path = TempPath("pinned.snap");
+  std::unique_ptr<LiveFixture> fx = MmapLiveFixture(path);
+  ASSERT_NE(fx, nullptr);
+  fx->MustIngest(Line(1, 1, 1));
+  const std::multiset<std::string> pinned_view = VisibleTriples(*fx->store);
+  std::weak_ptr<const rdf::FrozenBase> image_base =
+      fx->store->LatestChain()->base;
+
+  // A reader pins the pre-compaction chain and keeps reading it while
+  // the main thread compacts and ingests on top.
+  std::atomic<int> stage{0};  // 0 pinning, 1 pinned, 2 released
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> wrong{0};
+  std::thread reader([&] {
+    rdf::TripleStore::ReadPin pin(*fx->store);
+    stage.store(1);
+    while (stage.load() != 2 || reads.load() < 4) {
+      if (VisibleTriples(*fx->store) != pinned_view) ++wrong;
+      ++reads;
+    }
+  });
+  while (stage.load() != 1) std::this_thread::yield();
+  ASSERT_TRUE(fx->ingestor->Compact().ok());
+  fx->MustIngest(Line(2, 2, 2));
+  EXPECT_NE(VisibleTriples(*fx->store), pinned_view);
+  // The pin keeps the image's base (and its mapping) alive...
+  EXPECT_FALSE(image_base.expired());
+  EXPECT_TRUE(Mapped(path));
+  const uint64_t before = reads.load();
+  while (reads.load() < before + 4) std::this_thread::yield();
+  stage.store(2);
+  reader.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  // ...exactly as long as the pin holds it.
+  EXPECT_TRUE(image_base.expired());
+  EXPECT_FALSE(Mapped(path));
 }
 
 TEST(IngestTest, AutoCompactionTriggersOnDepth) {

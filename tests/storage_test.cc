@@ -13,6 +13,7 @@
 #include "core/session.h"
 #include "core/virtual_schema_graph.h"
 #include "engine/query_engine.h"
+#include "rdf/delta_layer.h"
 #include "rdf/text_index.h"
 #include "rdf/triple_store.h"
 #include "storage/snapshot.h"
@@ -77,7 +78,7 @@ void ExpectStoresMatch(const rdf::TripleStore& a, const rdf::TripleStore& b) {
     EXPECT_EQ(b.term(id), t);
   });
   // Pattern results agree for a spread of shapes.
-  auto spo = a.spo_span();
+  auto spo = a.base().raw(rdf::Perm::kSpo);
   for (size_t i = 0; i < spo.size(); i += 3) {
     const rdf::EncodedTriple& t = spo[i];
     EXPECT_EQ(a.Match({t.s, 0, 0}).size(), b.Match({t.s, 0, 0}).size());
