@@ -24,8 +24,8 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name) / 2);
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    engine::QueryEngine uncached(env.store(), NoCacheConfig());
+    core::Reolap reolap(uncached, env.vsg.get(), env.text.get());
     util::Rng rng(17);
 
     for (int i = 0; i < 3; ++i) {
@@ -40,8 +40,6 @@ int main() {
       if (!dis.empty()) state = dis[dis.size() / 2];
 
       sparql::ExecOptions planned, parse_order;
-      planned.timeout_millis = kTimeoutMs;
-      parse_order.timeout_millis = kTimeoutMs;
       parse_order.plan.use_join_reordering = false;
 
       // Adversarial pattern order for the unplanned run: hierarchy
@@ -60,9 +58,15 @@ int main() {
           });
 
       util::WallTimer timer;
+      const util::ExecGuard planned_guard =
+          util::ExecGuard::WithDeadline(kTimeoutMs);
+      planned.guard = &planned_guard;
       auto a = sparql::Execute(env.store(), adversarial, planned);
       double planned_ms = timer.ElapsedMillis();
       timer.Restart();
+      const util::ExecGuard parse_order_guard =
+          util::ExecGuard::WithDeadline(kTimeoutMs);
+      parse_order.guard = &parse_order_guard;
       auto b = sparql::Execute(env.store(), adversarial, parse_order);
       double parse_ms = timer.ElapsedMillis();
 

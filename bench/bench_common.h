@@ -46,6 +46,15 @@ struct BenchEnv {
   const rdf::TripleStore& store() const { return *dataset.store; }
 };
 
+/// Engine settings with both caches off: every query executes, so a
+/// repeated input is timed as a fresh one.
+inline engine::EngineConfig NoCacheConfig() {
+  engine::EngineConfig config;
+  config.plan_cache_capacity = 0;
+  config.result_cache_bytes = 0;
+  return config;
+}
+
 inline uint64_t DefaultObservations(const std::string& dataset_name) {
   if (const char* env = std::getenv("RE2X_BENCH_OBS")) {
     return std::strtoull(env, nullptr, 10);

@@ -20,8 +20,7 @@ int main() {
 
   BenchEnv env = MakeEnv("Eurostat", 30000);
   engine::QueryEngine engine(env.store());
-  core::Reolap reolap(env.dataset.store.get(), env.vsg.get(), env.text.get(),
-                      &engine);
+  core::Reolap reolap(engine, env.vsg.get(), env.text.get());
   core::SparqlByEBaseline baseline(env.dataset.store.get(), env.text.get());
 
   const std::vector<std::string> example = {"Asia", "2011"};

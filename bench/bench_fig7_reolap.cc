@@ -57,8 +57,8 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    engine::QueryEngine uncached(env.store(), NoCacheConfig());
+    core::Reolap reolap(uncached, env.vsg.get(), env.text.get());
     util::Rng rng(1234);
     for (size_t size = 1; size <= kMaxSize; ++size) {
       double total_ms = 0, min_ms = 1e18, max_ms = 0;
@@ -114,8 +114,9 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    // Caches off: every thread count probes the store for real.
+    engine::QueryEngine uncached(env.store(), NoCacheConfig());
+    core::Reolap reolap(uncached, env.vsg.get(), env.text.get());
     // Fixed inputs shared by every thread count.
     util::Rng rng(99);
     std::vector<std::vector<std::string>> tuples;
@@ -194,9 +195,9 @@ int main() {
 
     double off_pass2 = 0;
     for (bool cached : {false, true}) {
-      engine::QueryEngine engine(env.store());
-      core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                          env.text.get(), cached ? &engine : nullptr);
+      engine::QueryEngine engine(
+          env.store(), cached ? engine::EngineConfig{} : NoCacheConfig());
+      core::Reolap reolap(engine, env.vsg.get(), env.text.get());
       double pass_ms[2] = {0, 0};
       for (int pass = 0; pass < 2; ++pass) {
         for (const auto& tuple : tuples) {
@@ -226,20 +227,18 @@ int main() {
     // The "execute what ReOLAP synthesized" workload through raw Execute
     // (no engine cache): the pure executor cost of materializing
     // candidate answers.
-    core::Reolap plain(env.dataset.store.get(), env.vsg.get(),
-                       env.text.get());
+    engine::QueryEngine uncached(env.store(), NoCacheConfig());
+    core::Reolap plain(uncached, env.vsg.get(), env.text.get());
     std::vector<sparql::SelectQuery> candidates;
     for (const auto& tuple : tuples) {
       auto queries = plain.Synthesize(tuple);
       if (!queries.ok()) continue;
       for (const auto& c : *queries) candidates.push_back(c.query);
     }
-    sparql::ExecOptions exec;
-    exec.timeout_millis = 60000;
     size_t rows = 0;
     util::WallTimer timer;
     for (const auto& q : candidates) {
-      auto table = sparql::Execute(env.store(), q, exec);
+      auto table = sparql::Execute(env.store(), q);
       if (table.ok()) rows += table->row_count();
     }
     log.AddRecord()

@@ -33,11 +33,8 @@ int main() {
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
     engine::QueryEngine engine(env.store());
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get(), &engine);
+    core::Reolap reolap(engine, env.vsg.get(), env.text.get());
     util::Rng rng(99);
-    sparql::ExecOptions exec;
-    exec.timeout_millis = kTimeoutMs;
 
     for (size_t size = 1; size <= kMaxSize; ++size) {
       double ms[3] = {0, 0, 0};
@@ -55,6 +52,10 @@ int main() {
         core::ExploreState current = state;
         for (int depth = 0; depth <= 2 && ok; ++depth) {
           util::WallTimer timer;
+          const util::ExecGuard guard =
+              util::ExecGuard::WithDeadline(kTimeoutMs);
+          sparql::ExecOptions exec;
+          exec.guard = &guard;
           auto table = engine.Execute(current.query, exec);
           if (!table.ok()) {
             ok = false;

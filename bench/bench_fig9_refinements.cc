@@ -34,11 +34,9 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    engine::QueryEngine uncached(env.store(), NoCacheConfig());
+    core::Reolap reolap(uncached, env.vsg.get(), env.text.get());
     util::Rng rng(7);
-    sparql::ExecOptions exec;
-    exec.timeout_millis = kExecTimeoutMs;
 
     // Stats per disaggregation depth 0 (Orig), 1 (Dis.1), 2 (Dis.2).
     struct Acc {
@@ -57,16 +55,20 @@ int main() {
       core::ExploreState state = core::InitialState((*queries)[0]);
 
       for (int depth = 0; depth <= 2; ++depth) {
+        const util::ExecGuard guard =
+            util::ExecGuard::WithDeadline(kExecTimeoutMs);
+        sparql::ExecOptions exec;
+        exec.guard = &guard;
         auto table = sparql::Execute(env.store(), state.query, exec);
         if (!table.ok()) break;
         Acc& a = acc[depth];
         a.tuples += static_cast<double>(table->row_count());
 
         util::WallTimer timer;
-        auto topk = core::SubsetTopK(env.store(), state, *table);
+        auto topk = core::SubsetTopK(state, *table);
         a.topk_ms += timer.ElapsedMillis();
         timer.Restart();
-        auto perc = core::SubsetPercentile(env.store(), state, *table);
+        auto perc = core::SubsetPercentile(state, *table);
         a.perc_ms += timer.ElapsedMillis();
         timer.Restart();
         auto sim = core::SimilaritySearch(env.store(), state, *table);
@@ -117,11 +119,10 @@ int main() {
 
   for (const std::string& name : AllDatasets()) {
     BenchEnv env = MakeEnv(name, DefaultObservations(name));
-    core::Reolap reolap(env.dataset.store.get(), env.vsg.get(),
-                        env.text.get());
+    // Caches off: every thread count and pass below executes for real.
+    engine::QueryEngine uncached(env.store(), NoCacheConfig());
+    core::Reolap reolap(uncached, env.vsg.get(), env.text.get());
     util::Rng rng(21);
-    sparql::ExecOptions exec;
-    exec.timeout_millis = kExecTimeoutMs;
 
     // One synthesized query, then its full Disaggregate frontier.
     std::vector<core::ExploreState> states;
@@ -140,12 +141,12 @@ int main() {
     for (size_t threads : kThreadCounts) {
       util::ThreadPool pool(threads);
       util::WallTimer timer;
-      auto tables = core::EvaluateStates(env.store(), states, exec,
+      auto tables = core::EvaluateStates(uncached, states, {},
                                          threads > 1 ? &pool : nullptr);
       double ms = timer.ElapsedMillis();
       size_t rows = 0;
       for (const auto& t : tables) {
-        if (t.ok()) rows += t->row_count();
+        if (t.ok()) rows += (*t)->row_count();
       }
       if (threads == 1) {
         serial_ms = ms;
@@ -173,7 +174,7 @@ int main() {
       size_t rows = 0;
       util::WallTimer timer;
       for (const auto& state : states) {
-        auto table = sparql::Execute(env.store(), state.query, exec);
+        auto table = sparql::Execute(env.store(), state.query);
         if (table.ok()) rows += table->row_count();
       }
       log.AddRecord()
@@ -187,14 +188,14 @@ int main() {
     // --- Cache ablation: the same frontier evaluated twice --------------
     // A session previews a refinement frontier, the user hits Back(), and
     // the frontier is previewed again — the repeated-evaluation workload
-    // the engine's result cache targets. Pass 2 without the engine
-    // re-executes every query; pass 2 through the engine is pure cache
-    // hits.
+    // the engine's result cache targets. Pass 2 with the caches off
+    // re-executes every query; pass 2 through a caching engine is pure
+    // cache hits.
     double pass_ms_off[2] = {0, 0};
     double pass_ms_on[2] = {0, 0};
     for (int pass = 0; pass < 2; ++pass) {
       util::WallTimer t;
-      auto tables = core::EvaluateStates(env.store(), states, exec);
+      auto tables = core::EvaluateStates(uncached, states);
       pass_ms_off[pass] = t.ElapsedMillis();
     }
     // Frontier previews materialize large tables (every refinement over
@@ -205,14 +206,14 @@ int main() {
     engine::QueryEngine engine(env.store(), engine_config);
     size_t rows_on = 0, rows_off = 0;
     {
-      auto tables = core::EvaluateStates(env.store(), states, exec);
+      auto tables = core::EvaluateStates(uncached, states);
       for (const auto& t : tables) {
-        if (t.ok()) rows_off += t->row_count();
+        if (t.ok()) rows_off += (*t)->row_count();
       }
     }
     for (int pass = 0; pass < 2; ++pass) {
       util::WallTimer t;
-      auto tables = core::EvaluateStatesCached(engine, states, exec);
+      auto tables = core::EvaluateStates(engine, states);
       pass_ms_on[pass] = t.ElapsedMillis();
       if (pass == 1) {
         rows_on = 0;

@@ -55,8 +55,10 @@ struct Timed {
 
 void RunOnce(const re2xolap::rdf::TripleStore& store,
              const re2xolap::sparql::SelectQuery& query, Timed* out) {
+  const re2xolap::util::ExecGuard guard =
+      re2xolap::util::ExecGuard::WithDeadline(60000);
   ExecOptions options;
-  options.timeout_millis = 60000;
+  options.guard = &guard;
   ExecStats stats;
   re2xolap::util::WallTimer timer;
   auto r = re2xolap::sparql::Execute(store, query, options, &stats);

@@ -135,8 +135,8 @@ void BM_EngineCachedHierarchyJoin(benchmark::State& state) {
 BENCHMARK(BM_EngineCachedHierarchyJoin);
 
 void BM_ReolapSynthesizeSize1(benchmark::State& state) {
-  core::Reolap reolap(Env().dataset.store.get(), Env().vsg.get(),
-                      Env().text.get());
+  engine::QueryEngine engine(Env().store(), NoCacheConfig());
+  core::Reolap reolap(engine, Env().vsg.get(), Env().text.get());
   for (auto _ : state) {
     auto r = reolap.Synthesize({"Germany"});
     benchmark::DoNotOptimize(r.ok() ? r->size() : 0);
@@ -145,8 +145,8 @@ void BM_ReolapSynthesizeSize1(benchmark::State& state) {
 BENCHMARK(BM_ReolapSynthesizeSize1);
 
 void BM_ReolapSynthesizeSize2(benchmark::State& state) {
-  core::Reolap reolap(Env().dataset.store.get(), Env().vsg.get(),
-                      Env().text.get());
+  engine::QueryEngine engine(Env().store(), NoCacheConfig());
+  core::Reolap reolap(engine, Env().vsg.get(), Env().text.get());
   for (auto _ : state) {
     auto r = reolap.Synthesize({"Germany", "2014"});
     benchmark::DoNotOptimize(r.ok() ? r->size() : 0);

@@ -75,7 +75,7 @@ int main() {
   // All execution — including ReOLAP's validation probes — goes through
   // one QueryEngine, which caches plans and results for the frozen store.
   engine::QueryEngine engine(store);
-  core::Reolap reolap(&store, &*vsg, &text, &engine);
+  core::Reolap reolap(engine, &*vsg, &text);
   auto queries = reolap.Synthesize({"Germany", "2014"});
   if (!queries.ok()) {
     std::cerr << "synthesis failed: " << queries.status() << "\n";

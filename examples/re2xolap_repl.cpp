@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (cmd == "profile") {
-      auto profile = core::ProfileDataset(*ds->store, *vsg);
+      auto profile = core::ProfileDataset(*vsg, session.engine());
       if (!profile.ok()) {
         std::cout << "error: " << profile.status() << "\n";
       } else {

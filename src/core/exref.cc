@@ -180,44 +180,7 @@ void ReportSkipped(const std::vector<uint8_t>& skipped, size_t n_states,
 
 }  // namespace
 
-std::vector<util::Result<sparql::ResultTable>> EvaluateStates(
-    const rdf::TripleStore& store, const std::vector<ExploreState>& states,
-    const sparql::ExecOptions& exec, util::ThreadPool* pool,
-    std::vector<sparql::ExecStats>* stats, const util::ExecGuard* guard,
-    util::Degradation* degradation) {
-  obs::Span span("exref.evaluate_states");
-  span.SetAttr("states", static_cast<uint64_t>(states.size()));
-  std::vector<util::Result<sparql::ResultTable>> out;
-  out.reserve(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    out.emplace_back(util::Status::Internal("not evaluated"));
-  }
-  if (stats != nullptr) stats->assign(states.size(), sparql::ExecStats{});
-  std::vector<uint8_t> skipped(states.size(), 0);
-  auto eval_one = [&](size_t i) {
-    // Min-progress: state 0 always runs, so even an expired deadline
-    // yields one real preview; later states degrade to skipped slots.
-    if (guard != nullptr && i > 0) {
-      util::Status g = guard->Check();
-      if (!g.ok()) {
-        skipped[i] = 1;
-        out[i] = std::move(g);
-        return;
-      }
-    }
-    out[i] = sparql::Execute(store, states[i].query, exec,
-                             stats != nullptr ? &(*stats)[i] : nullptr);
-  };
-  if (pool != nullptr && states.size() > 1) {
-    rdf::ParallelForPinned(pool, store, states.size(), eval_one);
-  } else {
-    for (size_t i = 0; i < states.size(); ++i) eval_one(i);
-  }
-  ReportSkipped(skipped, states.size(), degradation);
-  return out;
-}
-
-std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
+std::vector<util::Result<engine::TableHandle>> EvaluateStates(
     engine::QueryEngine& engine, const std::vector<ExploreState>& states,
     const sparql::ExecOptions& exec, util::ThreadPool* pool,
     std::vector<sparql::ExecStats>* stats, const util::ExecGuard* guard,
@@ -232,6 +195,8 @@ std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
   if (stats != nullptr) stats->assign(states.size(), sparql::ExecStats{});
   std::vector<uint8_t> skipped(states.size(), 0);
   auto eval_one = [&](size_t i) {
+    // Min-progress: state 0 always runs, so even an expired deadline
+    // yields one real preview; later states degrade to skipped slots.
     if (guard != nullptr && i > 0) {
       util::Status g = guard->Check();
       if (!g.ok()) {
@@ -255,9 +220,7 @@ std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
 // --- Subset: Top-K -------------------------------------------------------------
 
 util::Result<std::vector<ExploreState>> SubsetTopK(
-    const rdf::TripleStore& store, const ExploreState& state,
-    const sparql::ResultTable& results) {
-  (void)store;
+    const ExploreState& state, const sparql::ResultTable& results) {
   std::vector<ExploreState> out;
   std::vector<size_t> example_rows = ExampleRowIndexes(state, results);
   if (example_rows.empty()) {
@@ -315,9 +278,8 @@ util::Result<std::vector<ExploreState>> SubsetTopK(
 // --- Subset: Percentile ----------------------------------------------------------
 
 util::Result<std::vector<ExploreState>> SubsetPercentile(
-    const rdf::TripleStore& store, const ExploreState& state,
-    const sparql::ResultTable& results, const PercentileOptions& options) {
-  (void)store;
+    const ExploreState& state, const sparql::ResultTable& results,
+    const PercentileOptions& options) {
   std::vector<ExploreState> out;
   std::vector<size_t> example_rows = ExampleRowIndexes(state, results);
   if (example_rows.empty() || results.row_count() < 2) return out;
@@ -715,9 +677,8 @@ util::Result<ExploreState> SliceToExample(const rdf::TripleStore& store,
 // --- Clustering-based subset (user-study prototype feature) -------------------
 
 util::Result<std::vector<ExploreState>> SubsetCluster(
-    const rdf::TripleStore& store, const ExploreState& state,
-    const sparql::ResultTable& results, const ClusterOptions& options) {
-  (void)store;
+    const ExploreState& state, const sparql::ResultTable& results,
+    const ClusterOptions& options) {
   std::vector<ExploreState> out;
   if (options.k < 2 || results.row_count() < options.k) return out;
   std::vector<size_t> example_rows = ExampleRowIndexes(state, results);
@@ -880,7 +841,7 @@ util::Result<ExploreState> ContrastWith(
           state.example_columns[i]);
     }
   }
-  if (!reolap.ValidateCombo(other, 10000)) {
+  if (!reolap.ValidateCombo(other)) {
     return util::Status::NotFound(
         "no observation matches the contrast combination");
   }

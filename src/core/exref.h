@@ -61,35 +61,26 @@ std::vector<ExploreState> Disaggregate(const VirtualSchemaGraph& vsg,
                                        const ExploreState& state,
                                        util::ThreadPool* pool = nullptr);
 
-/// Executes every state's query against the frozen store, fanning the
-/// evaluations across `pool` (serial when null). Result i corresponds to
-/// states[i]; per-query ExecStats land in `stats` (resized to match) when
-/// non-null, so the aggregation is race-free by construction. This is the
-/// ExRef counterpart of ReOLAP's parallel validation: after a refinement
-/// step produces N candidate queries, their (read-only) evaluations are
-/// independent probes against the store.
+/// Executes every state's query through `engine`, fanning the evaluations
+/// across `pool` (serial when null). Result i corresponds to states[i];
+/// per-query ExecStats land in `stats` (resized to match) when non-null,
+/// so the aggregation is race-free by construction. This is the ExRef
+/// counterpart of ReOLAP's parallel validation: after a refinement step
+/// produces N candidate queries, their (read-only) evaluations are
+/// independent probes against the store. Repeated evaluations of the same
+/// refinement (across rounds, or frontiers re-offered after Back()) are
+/// served from the engine's result cache; results are handles into it —
+/// copy-free, shared, immutable.
 ///
-/// Graceful degradation: when `guard` is supplied, states beyond the
-/// first are skipped once the guard trips — their slots hold the guard's
-/// error status (kTimeout / kResourceExhausted / kCancelled) while state
-/// 0 is always evaluated, so a preview round under an expired deadline
-/// still produces at least one real result. `degradation` (when non-null)
-/// reports whether and why slots were skipped; it is written only after
-/// the fan-out completes, race-free.
-std::vector<util::Result<sparql::ResultTable>> EvaluateStates(
-    const rdf::TripleStore& store, const std::vector<ExploreState>& states,
-    const sparql::ExecOptions& exec = {}, util::ThreadPool* pool = nullptr,
-    std::vector<sparql::ExecStats>* stats = nullptr,
-    const util::ExecGuard* guard = nullptr,
-    util::Degradation* degradation = nullptr);
-
-/// Engine-routed variant of EvaluateStates: every state executes through
-/// `engine`, so repeated evaluations of the same refinement (across
-/// rounds, or shared prefixes re-offered after Back()) are served from
-/// the engine's result cache and planning is amortized across threads.
-/// Results are handles into the cache — copy-free, shared, immutable.
-/// `guard` / `degradation` behave exactly as in EvaluateStates.
-std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
+/// Graceful degradation: `guard` is the min-progress bound, separate from
+/// `exec.guard` (which bounds each execution). When it is supplied,
+/// states beyond the first are skipped once it trips — their slots hold
+/// its error status (kTimeout / kResourceExhausted / kCancelled) while
+/// state 0 is always evaluated, so a preview round under an expired
+/// deadline still produces at least one real result. `degradation` (when
+/// non-null) reports whether and why slots were skipped; it is written
+/// only after the fan-out completes, race-free.
+std::vector<util::Result<engine::TableHandle>> EvaluateStates(
     engine::QueryEngine& engine, const std::vector<ExploreState>& states,
     const sparql::ExecOptions& exec = {}, util::ThreadPool* pool = nullptr,
     std::vector<sparql::ExecStats>* stats = nullptr,
@@ -103,8 +94,7 @@ std::vector<util::Result<engine::TableHandle>> EvaluateStatesCached(
 /// non-example tuple, and emits a HAVING cut keeping tuples through t_i.
 /// Two refinements (asc/desc) per measure column with a usable cut.
 util::Result<std::vector<ExploreState>> SubsetTopK(
-    const rdf::TripleStore& store, const ExploreState& state,
-    const sparql::ResultTable& results);
+    const ExploreState& state, const sparql::ResultTable& results);
 
 struct PercentileOptions {
   /// Band boundaries as fractions; bands are formed between consecutive
@@ -116,8 +106,8 @@ struct PercentileOptions {
 /// and keeps the bands containing at least one example tuple, emitting a
 /// HAVING range per such band (always a strict subset of the tuples).
 util::Result<std::vector<ExploreState>> SubsetPercentile(
-    const rdf::TripleStore& store, const ExploreState& state,
-    const sparql::ResultTable& results, const PercentileOptions& options = {});
+    const ExploreState& state, const sparql::ResultTable& results,
+    const PercentileOptions& options = {});
 
 /// --- Problem 2c: example-driven Similarity Search --------------------------
 
@@ -181,8 +171,8 @@ struct ClusterOptions {
 /// measure column; the refinement keeps the cluster containing an example
 /// tuple (as a HAVING range). Skipped when that cluster covers everything.
 util::Result<std::vector<ExploreState>> SubsetCluster(
-    const rdf::TripleStore& store, const ExploreState& state,
-    const sparql::ResultTable& results, const ClusterOptions& options = {});
+    const ExploreState& state, const sparql::ResultTable& results,
+    const ClusterOptions& options = {});
 
 /// Negative examples (paper Section 8 future work): maps each negative
 /// value to members at the levels already present in the query and adds

@@ -53,17 +53,11 @@ struct DatasetProfile {
   void Print(std::ostream& os) const;
 };
 
-/// Computes the profile. Measure statistics are computed by executing
-/// aggregate SPARQL queries through the engine (the same path a user's
-/// query would take).
-util::Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
-                                            const VirtualSchemaGraph& vsg);
-
-/// Engine-routed variant: the aggregate queries execute through `engine`
-/// and share its plan/result caches, so re-profiling the same frozen
-/// dataset is served from cache.
-util::Result<DatasetProfile> ProfileDataset(const rdf::TripleStore& store,
-                                            const VirtualSchemaGraph& vsg,
+/// Computes the profile of `engine`'s store. Measure statistics are
+/// computed by executing aggregate SPARQL queries through `engine` (the
+/// same path a user's query takes), sharing its plan/result caches, so
+/// re-profiling the same frozen dataset is served from cache.
+util::Result<DatasetProfile> ProfileDataset(const VirtualSchemaGraph& vsg,
                                             engine::QueryEngine& engine);
 
 }  // namespace re2xolap::core

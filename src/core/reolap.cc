@@ -19,6 +19,31 @@ namespace re2xolap::core {
 
 namespace {
 
+/// Cap on text-index hits considered per example value.
+constexpr size_t kMaxMatchesPerValue = 200;
+/// Cap on generated queries; combination enumeration stops beyond it.
+constexpr size_t kMaxQueries = 256;
+/// Cap on one validation probe; the caller's guard may shorten it.
+constexpr uint64_t kProbeCapMillis = 10'000;
+/// Floor on a probe's deadline, so the min-progress block still runs real
+/// probes under an expired caller. It must outlast a scheduling delay
+/// between the probe's start and the engine's entry check: at 1 ms,
+/// oversubscribed runs lost first-block probes to that check.
+constexpr uint64_t kProbeFloorMillis = 25;
+
+/// The guard one validation probe runs under: a child of `parent` whose
+/// deadline is the cap or the parent's remaining time, whichever is
+/// smaller, but at least the floor. It shares the parent's cancellation
+/// token.
+util::ExecGuard ProbeGuard(const util::ExecGuard* parent) {
+  util::ExecGuard::Limits limits;
+  limits.deadline_millis = kProbeCapMillis;
+  if (parent == nullptr) return util::ExecGuard(limits);
+  limits.deadline_millis = std::max(
+      kProbeFloorMillis, std::min(kProbeCapMillis, parent->remaining_millis()));
+  return util::ExecGuard(limits, parent->token());
+}
+
 std::string IriLocalName(const std::string& iri) {
   size_t cut = iri.find_last_of("/#");
   return cut == std::string::npos ? iri : iri.substr(cut + 1);
@@ -57,6 +82,10 @@ std::string GroupVarName(const rdf::TripleStore& store, const LevelPath& path,
 
 }  // namespace
 
+Reolap::Reolap(engine::QueryEngine& engine, const VirtualSchemaGraph* vsg,
+               const rdf::TextIndex* text_index)
+    : engine_(&engine), vsg_(vsg), text_(text_index) {}
+
 std::vector<Interpretation> Reolap::MatchValue(
     const std::string& value, const ReolapOptions& options) const {
   std::vector<Interpretation> out;
@@ -71,7 +100,7 @@ std::vector<Interpretation> Reolap::MatchValue(
     iri = value;
   }
   if (!iri.empty()) {
-    rdf::TermId member = store_->Lookup(rdf::Term::Iri(iri));
+    rdf::TermId member = store().Lookup(rdf::Term::Iri(iri));
     if (member != rdf::kInvalidTermId) {
       for (int node : vsg_->NodesOfMember(member)) {
         for (const LevelPath* path : vsg_->PathsTo(node)) {
@@ -85,10 +114,10 @@ std::vector<Interpretation> Reolap::MatchValue(
   }
 
   std::vector<rdf::TermId> literals =
-      text_->Match(value, options.max_matches_per_value, options.guard);
+      text_->Match(value, kMaxMatchesPerValue, options.guard);
   for (rdf::TermId lit : literals) {
     // Subjects holding this literal value are candidate dimension members.
-    for (const rdf::EncodedTriple& t : store_->Match(
+    for (const rdf::EncodedTriple& t : store().Match(
              rdf::TriplePattern{rdf::kInvalidTermId, rdf::kInvalidTermId,
                                 lit})) {
       for (int node : vsg_->NodesOfMember(t.s)) {
@@ -103,8 +132,8 @@ std::vector<Interpretation> Reolap::MatchValue(
   return out;
 }
 
-CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
-                                  const ReolapOptions& options) const {
+CandidateQuery Reolap::BuildQuery(
+    const std::vector<Interpretation>& combo) const {
   using sparql::SelectItem;
   using sparql::TriplePatternAst;
   using sparql::Variable;
@@ -125,7 +154,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
   int fresh = 0;
   for (size_t i = 0; i < combo.size(); ++i) {
     const LevelPath& path = *combo[i].path;
-    std::string group_var = GroupVarName(*store_, path, i);
+    std::string group_var = GroupVarName(store(), path, i);
     sparql::TermOrVar current = obs;
     for (size_t s = 0; s < path.predicates.size(); ++s) {
       sparql::TermOrVar next =
@@ -134,7 +163,7 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
               : sparql::TermOrVar(
                     Variable{"h" + std::to_string(fresh++)});
       q.patterns.push_back(TriplePatternAst{
-          current, store_->term(path.predicates[s]), next});
+          current, store().term(path.predicates[s]), next});
       current = next;
     }
     q.group_by.push_back(Variable{group_var});
@@ -149,22 +178,16 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
   for (size_t m = 0; m < measures.size(); ++m) {
     std::string mvar = "m" + std::to_string(m);
     q.patterns.push_back(TriplePatternAst{
-        obs, store_->term(measures[m]), Variable{mvar}});
-    std::vector<sparql::AggFunc> funcs;
-    if (options.all_aggregates) {
-      funcs = {sparql::AggFunc::kSum, sparql::AggFunc::kMin,
-               sparql::AggFunc::kMax, sparql::AggFunc::kAvg};
-    } else {
-      funcs = {sparql::AggFunc::kSum};
-    }
-    for (sparql::AggFunc f : funcs) {
+        obs, store().term(measures[m]), Variable{mvar}});
+    for (sparql::AggFunc f : {sparql::AggFunc::kSum, sparql::AggFunc::kMin,
+                              sparql::AggFunc::kMax, sparql::AggFunc::kAvg}) {
       SelectItem item;
       item.is_aggregate = true;
       item.func = f;
       item.var = Variable{mvar};
       std::string fname = sparql::AggFuncName(f);
       for (char& c : fname) c = static_cast<char>(std::tolower(c));
-      item.alias = fname + "_" + IriLocalName(store_->term(measures[m]).value);
+      item.alias = fname + "_" + IriLocalName(store().term(measures[m]).value);
       cq.measure_columns.push_back(item.alias);
       q.items.push_back(std::move(item));
     }
@@ -176,19 +199,19 @@ CandidateQuery Reolap::BuildQuery(const std::vector<Interpretation>& combo,
   std::string desc = "Return ";
   for (size_t m = 0; m < measures.size(); ++m) {
     if (m > 0) desc += ", ";
-    desc += "SUM(" + DisplayName(*store_, measures[m]) + ")";
+    desc += "SUM(" + DisplayName(store(), measures[m]) + ")";
   }
   desc += " grouped by ";
   for (size_t i = 0; i < combo.size(); ++i) {
     if (i > 0) desc += " and ";
-    desc += "\"" + DescribePath(*store_, *combo[i].path) + "\"";
+    desc += "\"" + DescribePath(store(), *combo[i].path) + "\"";
   }
   cq.description = std::move(desc);
   return cq;
 }
 
 bool Reolap::ValidateCombo(const std::vector<Interpretation>& combo,
-                           uint64_t timeout_millis) const {
+                           const util::ExecGuard* parent) const {
   obs::Span span("reolap.probe");
   static obs::Counter& probes_total =
       obs::MetricsRegistry::Global().GetCounter("reolap.probes");
@@ -212,21 +235,18 @@ bool Reolap::ValidateCombo(const std::vector<Interpretation>& combo,
     for (size_t s = 0; s < path.predicates.size(); ++s) {
       sparql::TermOrVar next =
           (s + 1 == path.predicates.size())
-              ? sparql::TermOrVar(store_->term(in.member))
+              ? sparql::TermOrVar(store().term(in.member))
               : sparql::TermOrVar(Variable{"v" + std::to_string(fresh++)});
       probe.patterns.push_back(TriplePatternAst{
-          current, store_->term(path.predicates[s]), next});
+          current, store().term(path.predicates[s]), next});
       current = next;
     }
   }
+  const util::ExecGuard guard = ProbeGuard(parent);
   sparql::ExecOptions opts;
-  opts.timeout_millis = timeout_millis;
-  if (engine_ != nullptr) {
-    auto result = engine_->Execute(probe, opts);
-    return result.ok() && (*result)->row_count() > 0;
-  }
-  auto result = sparql::Execute(*store_, probe, opts);
-  return result.ok() && result->row_count() > 0;
+  opts.guard = &guard;
+  auto result = engine_->Execute(probe, opts);
+  return result.ok() && (*result)->row_count() > 0;
 }
 
 util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
@@ -235,21 +255,14 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
   if (example_tuple.empty()) {
     return util::Status::InvalidArgument("example tuple is empty");
   }
-  // Overall-deadline guard: the caller's guard when supplied, otherwise a
-  // local one derived from overall_deadline_millis. Expiry degrades the
-  // synthesis (partial-but-validated candidates, truncated flag in stats)
-  // rather than erroring; the first validation block always completes, so
-  // even an already expired deadline yields a usable answer.
-  util::ExecGuard local_guard;
-  ReolapOptions opts = options;
-  if (opts.guard == nullptr && opts.overall_deadline_millis > 0) {
-    local_guard = util::ExecGuard::WithDeadline(opts.overall_deadline_millis);
-    opts.guard = &local_guard;
-  }
-  const util::ExecGuard* guard = opts.guard;
+  // The caller's guard bounds the call. Expiry degrades the synthesis
+  // (partial-but-validated candidates, truncated flag in stats) rather
+  // than erroring; the first validation block always completes, so even
+  // an already expired guard yields a usable answer.
+  const util::ExecGuard* guard = options.guard;
   std::unique_ptr<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = ResolvePool(opts, &local_pool);
-  if (stats) stats->threads_used = EffectiveThreads(opts);
+  util::ThreadPool* pool = ResolvePool(options, &local_pool);
+  if (stats) stats->threads_used = EffectiveThreads(options);
   obs::Span synth_span("reolap.synthesize");
   synth_span.SetAttr("values", static_cast<uint64_t>(example_tuple.size()));
   util::WallTimer timer;
@@ -261,10 +274,10 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
   {
     obs::Span match_span("reolap.match");
     auto match_one = [&](size_t i) {
-      dims[i] = MatchValue(example_tuple[i], opts);
+      dims[i] = MatchValue(example_tuple[i], options);
     };
     if (pool != nullptr && example_tuple.size() > 1) {
-      rdf::ParallelForPinned(pool, *store_, dims.size(), match_one);
+      rdf::ParallelForPinned(pool, store(), dims.size(), match_one);
     } else {
       for (size_t i = 0; i < dims.size(); ++i) match_one(i);
     }
@@ -294,7 +307,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
   // verdict slots, and the verdicts are then consumed back in serial
   // order — so the output candidates, their ordering, and the stats
   // counters are byte-identical for every thread count (the only
-  // difference is up to one block of extra probes past the max_queries
+  // difference is up to one block of extra probes past the kMaxQueries
   // cut-off, whose verdicts are discarded uncounted).
   std::vector<CandidateQuery> out;
   std::vector<Interpretation> combo(example_tuple.size());
@@ -341,29 +354,16 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
     combine_ms += timer.ElapsedMillis();
 
     // Probe the block concurrently; verdicts land in per-index slots.
-    // Per-probe timeouts are clamped to the remaining overall budget
-    // (floored at 1 ms so the min-progress block still runs real probes).
-    uint64_t probe_timeout = opts.validation_timeout_millis;
-    if (guard != nullptr && guard->has_deadline()) {
-      uint64_t remaining = guard->remaining_millis();
-      if (probe_timeout == 0 || remaining < probe_timeout) {
-        probe_timeout = remaining;
-      }
-      probe_timeout = std::max<uint64_t>(1, probe_timeout);
-    }
+    // Each probe's child guard is clamped to the caller's remaining time.
     timer.Restart();
-    std::vector<uint8_t> valid(pending.size(), 1);
-    if (opts.validate && !pending.empty()) {
-      auto probe = [&](size_t i) {
-        valid[i] =
-            ValidateCombo(pending[i], probe_timeout) ? 1
-                                                                         : 0;
-      };
-      if (pool != nullptr) {
-        rdf::ParallelForPinned(pool, *store_, pending.size(), probe);
-      } else {
-        for (size_t i = 0; i < pending.size(); ++i) probe(i);
-      }
+    std::vector<uint8_t> valid(pending.size(), 0);
+    auto probe = [&](size_t i) {
+      valid[i] = ValidateCombo(pending[i], guard) ? 1 : 0;
+    };
+    if (pool != nullptr) {
+      rdf::ParallelForPinned(pool, store(), pending.size(), probe);
+    } else {
+      for (size_t i = 0; i < pending.size(); ++i) probe(i);
     }
     validate_ms += timer.ElapsedMillis();
 
@@ -376,8 +376,8 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
         // Different members on the same path family produce the same
         // query shape; the paper still treats them as one query per
         // combination of *levels*. Dedupe output queries by path set.
-        out.push_back(BuildQuery(pending[i], opts));
-        if (out.size() >= opts.max_queries) capped = true;
+        out.push_back(BuildQuery(pending[i]));
+        if (out.size() >= kMaxQueries) capped = true;
       }
     }
     combine_ms += timer.ElapsedMillis();
@@ -412,7 +412,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::Synthesize(
     stats->combine_millis = combine_ms;
     stats->validate_millis = validate_ms;
   }
-  if (opts.rank_candidates) RankCandidates(*vsg_, &unique);
+  if (options.rank_candidates) RankCandidates(*vsg_, &unique);
   synth_span.SetAttr("candidates", static_cast<uint64_t>(unique.size()));
   return unique;
 }
@@ -438,16 +438,9 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
   util::ThreadPool* pool = ResolvePool(options, &local_pool);
   ReolapOptions pooled_options = options;
   pooled_options.pool = pool;
-  // One guard spans the nested Synthesize and the multi-tuple filtering,
-  // so the overall deadline covers the whole call.
-  util::ExecGuard local_guard;
-  if (pooled_options.guard == nullptr &&
-      pooled_options.overall_deadline_millis > 0) {
-    local_guard =
-        util::ExecGuard::WithDeadline(pooled_options.overall_deadline_millis);
-    pooled_options.guard = &local_guard;
-  }
-  const util::ExecGuard* guard = pooled_options.guard;
+  // The caller's guard spans the nested Synthesize and the multi-tuple
+  // filtering, so its deadline covers the whole call.
+  const util::ExecGuard* guard = options.guard;
   RE2X_ASSIGN_OR_RETURN(std::vector<CandidateQuery> candidates,
                         Synthesize(example_tuples[0], pooled_options, stats));
   if (example_tuples.size() == 1) return candidates;
@@ -477,7 +470,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
   };
   const size_t n_lookups = (example_tuples.size() - 1) * arity;
   if (pool != nullptr) {
-    rdf::ParallelForPinned(pool, *store_, n_lookups, match_one);
+    rdf::ParallelForPinned(pool, store(), n_lookups, match_one);
   } else {
     for (size_t flat = 0; flat < n_lookups; ++flat) match_one(flat);
   }
@@ -517,8 +510,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
       for (size_t attempt = 0; attempt < kMaxRowAttempts; ++attempt) {
         std::vector<Interpretation> row(arity);
         for (size_t j = 0; j < arity; ++j) row[j] = per_column[j][idx[j]];
-        if (!options.validate ||
-            ValidateCombo(row, options.validation_timeout_millis)) {
+        if (ValidateCombo(row, guard)) {
           rc.extra_rows.push_back(std::move(row));
           row_ok = true;
           break;
@@ -537,7 +529,7 @@ util::Result<std::vector<CandidateQuery>> Reolap::SynthesizeMulti(
     rc.keep = all_rows_ok;
   };
   if (pool != nullptr) {
-    rdf::ParallelForPinned(pool, *store_, candidates.size(), check_one);
+    rdf::ParallelForPinned(pool, store(), candidates.size(), check_one);
   } else {
     for (size_t c = 0; c < candidates.size(); ++c) check_one(c);
   }

@@ -6,16 +6,13 @@
 #include <vector>
 
 #include "core/virtual_schema_graph.h"
+#include "engine/query_engine.h"
 #include "rdf/text_index.h"
 #include "rdf/triple_store.h"
 #include "sparql/ast.h"
 #include "util/exec_guard.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
-
-namespace re2xolap::engine {
-class QueryEngine;
-}  // namespace re2xolap::engine
 
 namespace re2xolap::core {
 
@@ -48,18 +45,6 @@ struct CandidateQuery {
 };
 
 struct ReolapOptions {
-  /// Cap on text-index hits considered per example value (0 = unlimited).
-  size_t max_matches_per_value = 200;
-  /// Cap on generated queries; combination enumeration stops beyond it.
-  size_t max_queries = 256;
-  /// When true, every combination is checked to return at least one
-  /// observation (the paper's correctness guarantee).
-  bool validate = true;
-  /// Per-validation-probe timeout.
-  uint64_t validation_timeout_millis = 10000;
-  /// Aggregation functions emitted per measure; default all four as in the
-  /// paper ("we will retrieve results for all aggregation functions").
-  bool all_aggregates = true;
   /// When true, candidates are ordered by RankCandidates() before being
   /// returned (simpler + more focused interpretations first).
   bool rank_candidates = false;
@@ -75,16 +60,14 @@ struct ReolapOptions {
   /// null and the effective thread count exceeds 1, a pool local to the
   /// Synthesize call is created.
   util::ThreadPool* pool = nullptr;
-  /// Overall wall-clock budget for one Synthesize/SynthesizeMulti call
-  /// (0 = unlimited). Expiry degrades the call instead of erroring:
-  /// the first validation block is always processed (min-progress), later
-  /// blocks are skipped, per-probe timeouts are clamped to the remaining
-  /// budget, and the partial candidate set comes back flagged with
-  /// ReolapStats::truncated and degraded_reason.
-  uint64_t overall_deadline_millis = 0;
-  /// Optional externally owned guard (e.g. a session-wide deadline)
-  /// enforcing the same graceful degradation; takes precedence over
-  /// `overall_deadline_millis`. Non-owning; must outlive the call.
+  /// The caller's guard (e.g. a server request's), the only bound on a
+  /// Synthesize/SynthesizeMulti call. Expiry degrades the call instead of
+  /// erroring: the first validation block is always processed
+  /// (min-progress), later blocks are skipped, and the partial candidate
+  /// set comes back flagged with ReolapStats::truncated and
+  /// degraded_reason. Each probe runs under a child of it (see
+  /// Reolap::ValidateCombo). Null = unbounded. Non-owning; must outlive
+  /// the call.
   const util::ExecGuard* guard = nullptr;
 };
 
@@ -99,7 +82,7 @@ struct ReolapStats {
   double match_millis = 0;
   double combine_millis = 0;
   double validate_millis = 0;
-  /// Graceful-degradation flags: true when the overall deadline expired
+  /// Graceful-degradation flags: true when the caller's guard tripped
   /// mid-synthesis and the candidate set is partial (but every returned
   /// candidate is fully validated); `degraded_reason` says why and where.
   bool truncated = false;
@@ -110,17 +93,20 @@ struct ReolapStats {
 /// tuple of example attribute values (e.g. {"Germany", "2014"}). All
 /// lookups after construction run against the in-memory virtual schema
 /// graph and text index; the store is only touched for validation probes.
+///
+/// Every generated query carries all four aggregation functions per
+/// measure (the paper: "we will retrieve results for all aggregation
+/// functions"), and every combination is validated against the store
+/// before it is returned (Algorithm 1's guarantee).
 class Reolap {
  public:
-  /// When `engine` is non-null, validation probes execute through it and
-  /// share its plan/result caches with the rest of the session — repeated
-  /// validation of an identical combination (e.g. across refinement
-  /// rounds) becomes a cache hit instead of a store probe. A null engine
-  /// keeps the direct sparql::Execute path (used by engine-free tests).
-  Reolap(const rdf::TripleStore* store, const VirtualSchemaGraph* vsg,
-         const rdf::TextIndex* text_index,
-         engine::QueryEngine* engine = nullptr)
-      : store_(store), vsg_(vsg), text_(text_index), engine_(engine) {}
+  /// Validation probes execute through `engine` and share its plan/result
+  /// caches with the rest of the session — repeated validation of an
+  /// identical combination (e.g. across refinement rounds) becomes a
+  /// cache hit instead of a store probe. The store is the engine's; the
+  /// engine must outlive this object.
+  Reolap(engine::QueryEngine& engine, const VirtualSchemaGraph* vsg,
+         const rdf::TextIndex* text_index);
 
   /// MATCHES(a_i) of Algorithm 1: all interpretations of one value.
   /// Supports mixed inputs (paper Section 5 footnote): a value of the
@@ -147,23 +133,23 @@ class Reolap {
 
   /// GETQUERY of Algorithm 1: builds the SPARQL OLAP query for one
   /// combination of interpretations.
-  CandidateQuery BuildQuery(const std::vector<Interpretation>& combo,
-                            const ReolapOptions& options = {}) const;
+  CandidateQuery BuildQuery(const std::vector<Interpretation>& combo) const;
 
   /// True when at least one observation jointly satisfies all
-  /// interpretations (executed against the store with a LIMIT-1 probe).
+  /// interpretations (a LIMIT-1 probe through the engine). The probe runs
+  /// under a child of `parent`: its deadline is the smaller of a 10 s cap
+  /// and the parent's remaining time, floored at 25 ms, and it shares the
+  /// parent's cancellation token. A null parent leaves only the cap.
   bool ValidateCombo(const std::vector<Interpretation>& combo,
-                     uint64_t timeout_millis) const;
+                     const util::ExecGuard* parent = nullptr) const;
 
   const VirtualSchemaGraph& vsg() const { return *vsg_; }
-  const rdf::TripleStore& store() const { return *store_; }
+  const rdf::TripleStore& store() const { return engine_->store(); }
 
  private:
-
-  const rdf::TripleStore* store_;
+  engine::QueryEngine* engine_;
   const VirtualSchemaGraph* vsg_;
   const rdf::TextIndex* text_;
-  engine::QueryEngine* engine_;
 };
 
 /// Ranks candidate queries in place (paper Section 8 lists ranking of

@@ -102,10 +102,6 @@ util::Status Session::PickCandidate(size_t index) {
   return util::Status::OK();
 }
 
-util::Result<const sparql::ResultTable*> Session::Execute() {
-  return Execute(exec_options_);
-}
-
 util::Result<const sparql::ResultTable*> Session::Execute(
     const sparql::ExecOptions& options) {
   if (history_.empty()) {
@@ -128,7 +124,8 @@ util::Result<const sparql::ResultTable*> Session::Execute(
 }
 
 util::Result<std::vector<ExploreState>> Session::Refine(
-    RefinementKind kind, const SimilarityOptions& sim_options,
+    RefinementKind kind, const sparql::ExecOptions& exec,
+    const SimilarityOptions& sim_options,
     const PercentileOptions& perc_options,
     const ClusterOptions& cluster_options) {
   if (history_.empty()) {
@@ -153,26 +150,26 @@ util::Result<std::vector<ExploreState>> Session::Refine(
         refinements = RollUp(*vsg_, *store_, state);
         break;
       case RefinementKind::kTopK: {
-        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute());
-        RE2X_ASSIGN_OR_RETURN(refinements, SubsetTopK(*store_, state, *table));
+        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute(exec));
+        RE2X_ASSIGN_OR_RETURN(refinements, SubsetTopK(state, *table));
         break;
       }
       case RefinementKind::kPercentile: {
-        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute());
-        RE2X_ASSIGN_OR_RETURN(
-            refinements, SubsetPercentile(*store_, state, *table, perc_options));
+        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute(exec));
+        RE2X_ASSIGN_OR_RETURN(refinements,
+                              SubsetPercentile(state, *table, perc_options));
         break;
       }
       case RefinementKind::kSimilarity: {
-        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute());
+        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute(exec));
         RE2X_ASSIGN_OR_RETURN(
             refinements, SimilaritySearch(*store_, state, *table, sim_options));
         break;
       }
       case RefinementKind::kCluster: {
-        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute());
-        RE2X_ASSIGN_OR_RETURN(
-            refinements, SubsetCluster(*store_, state, *table, cluster_options));
+        RE2X_ASSIGN_OR_RETURN(const sparql::ResultTable* table, Execute(exec));
+        RE2X_ASSIGN_OR_RETURN(refinements,
+                              SubsetCluster(state, *table, cluster_options));
         break;
       }
     }
@@ -299,7 +296,7 @@ util::Status Session::SaveSnapshot(
 
 util::Result<SnapshotSession> Session::OpenSnapshot(
     const std::string& path, const storage::SnapshotLoadOptions& options,
-    sparql::ExecOptions exec_options, engine::EngineConfig engine_config) {
+    engine::EngineConfig engine_config) {
   RE2X_ASSIGN_OR_RETURN(storage::LoadedSnapshot data,
                         storage::LoadSnapshot(path, options));
   if (data.text == nullptr || !data.vsg.has_value()) {
@@ -319,8 +316,7 @@ util::Result<SnapshotSession> Session::OpenSnapshot(
   out.vsg = std::make_unique<VirtualSchemaGraph>(std::move(graph));
   out.data.vsg.reset();  // parts were consumed by FromParts
   out.session = std::make_unique<Session>(out.data.store.get(), out.vsg.get(),
-                                          out.data.text.get(), exec_options,
-                                          engine_config);
+                                          out.data.text.get(), engine_config);
   return out;
 }
 

@@ -60,7 +60,7 @@ struct ExplorationStats {
   size_t cumulative_tuples = 0;
   /// Current frontier: product of the branching factors so far.
   size_t frontier = 1;
-  /// Wall time spent inside sparql::Execute for this session's queries
+  /// Wall time spent executing this session's queries
   /// (cache hits cost nothing and add nothing).
   double cumulative_exec_millis = 0;
   /// Index entries inspected by this session's queries, accumulated.
@@ -90,16 +90,14 @@ struct ExplorationStats {
 class Session {
  public:
   Session(const rdf::TripleStore* store, const VirtualSchemaGraph* vsg,
-          const rdf::TextIndex* text, sparql::ExecOptions exec_options = {},
-          engine::EngineConfig engine_config = {})
+          const rdf::TextIndex* text, engine::EngineConfig engine_config = {})
       : store_(store),
         vsg_(vsg),
         text_(text),
         owned_engine_(
             std::make_unique<engine::QueryEngine>(*store, engine_config)),
         engine_(owned_engine_.get()),
-        reolap_(store, vsg, text, engine_),
-        exec_options_(exec_options) {}
+        reolap_(*engine_, vsg, text) {}
 
   /// Variant sharing an externally owned engine: every session query
   /// (including ReOLAP validation probes) executes through
@@ -109,14 +107,12 @@ class Session {
   /// the session; QueryEngine is safe for concurrent use once the store
   /// is frozen.
   Session(const rdf::TripleStore* store, const VirtualSchemaGraph* vsg,
-          const rdf::TextIndex* text, engine::QueryEngine* shared_engine,
-          sparql::ExecOptions exec_options = {})
+          const rdf::TextIndex* text, engine::QueryEngine* shared_engine)
       : store_(store),
         vsg_(vsg),
         text_(text),
         engine_(shared_engine),
-        reolap_(store, vsg, text, engine_),
-        exec_options_(exec_options) {}
+        reolap_(*engine_, vsg, text) {}
 
   /// Query synthesis phase: runs ReOLAP on the example tuple and stores
   /// the candidates.
@@ -127,21 +123,19 @@ class Session {
   /// Selects candidate `index` from the last Start() as the current query.
   util::Status PickCandidate(size_t index);
 
-  /// Executes the current query (cached until the state changes).
-  util::Result<const sparql::ResultTable*> Execute();
-
-  /// Same, under per-call options (e.g. a server request's
-  /// arrival-anchored guard) instead of the session defaults. A result
-  /// cached since the last state change is returned without re-executing
-  /// either way.
+  /// Executes the current query under the caller's options (e.g. a
+  /// server request's arrival-anchored guard; the default is unbounded).
+  /// The result is cached until the state changes, and a cached result is
+  /// returned without re-executing.
   util::Result<const sparql::ResultTable*> Execute(
-      const sparql::ExecOptions& options);
+      const sparql::ExecOptions& options = {});
 
   /// Produces refinements of the current state with the given method.
   /// TopK/Percentile/Similarity/Cluster execute the current query first if
-  /// needed.
+  /// needed, under `exec`.
   util::Result<std::vector<ExploreState>> Refine(
-      RefinementKind kind, const SimilarityOptions& sim_options = {},
+      RefinementKind kind, const sparql::ExecOptions& exec = {},
+      const SimilarityOptions& sim_options = {},
       const PercentileOptions& perc_options = {},
       const ClusterOptions& cluster_options = {});
 
@@ -194,7 +188,6 @@ class Session {
   static util::Result<SnapshotSession> OpenSnapshot(
       const std::string& path,
       const storage::SnapshotLoadOptions& options = {},
-      sparql::ExecOptions exec_options = {},
       engine::EngineConfig engine_config = {});
 
  private:
@@ -212,7 +205,6 @@ class Session {
   std::unique_ptr<engine::QueryEngine> owned_engine_;
   engine::QueryEngine* engine_;
   Reolap reolap_;
-  sparql::ExecOptions exec_options_;
 
   std::vector<CandidateQuery> candidates_;
   std::vector<ExploreState> pending_refinements_;

@@ -161,6 +161,11 @@ class ScopedSpanContext {
   SpanId saved_;
 };
 
+/// Appends `s` to `out` as the body of a JSON string (no quotes): quote,
+/// backslash and control bytes escaped, every other byte copied in runs.
+/// The one JSON string escaper; every JSON writer calls it.
+void AppendJsonEscaped(std::string_view s, std::string* out);
+
 /// Escapes `s` for embedding inside a JSON string literal.
 std::string JsonEscape(std::string_view s);
 

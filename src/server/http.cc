@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "sparql/json.h"
 #include "util/string_utils.h"
 
 namespace re2xolap::server {
@@ -92,13 +91,6 @@ std::string UrlDecode(std::string_view s) {
       out.push_back(c);
     }
   }
-  return out;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  sparql::AppendJsonEscaped(s, &out);
   return out;
 }
 

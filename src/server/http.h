@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/result.h"
 
 namespace re2xolap::server {
@@ -87,7 +88,7 @@ std::string UrlDecode(std::string_view s);
 
 /// Escapes a string for embedding in a JSON string literal (quotes,
 /// backslashes, control characters).
-std::string JsonEscape(std::string_view s);
+using obs::JsonEscape;
 
 /// Builds the uniform JSON error body: {"error": <msg>, "code": <code>}.
 std::string JsonError(std::string_view code, std::string_view message);

@@ -955,10 +955,8 @@ HttpResponse Server::HandleSession(const HttpRequest& req,
   const unsigned retry_after = config_.retry_after_seconds;
   if (req.path == "/session") {
     if (req.method != "POST") return MethodNotAllowed("POST");
-    sparql::ExecOptions session_options;
-    session_options.timeout_millis = config_.default_deadline_millis;
     auto id = sessions_.Create(dataset_.store, dataset_.vsg, dataset_.text,
-                               dataset_.engine, session_options);
+                               dataset_.engine);
     if (!id.ok()) return ErrorResponse(id.status(), retry_after);
     return JsonOk("{\"session\": \"" + *id + "\"}\n");
   }
@@ -989,6 +987,9 @@ HttpResponse Server::HandleSession(const HttpRequest& req,
   // delays only this session's other requests, never the server.
   std::lock_guard<std::mutex> session_lock(held.mu);
   core::Session& session = held.session;
+  // The request's guard bounds every execution a verb triggers.
+  sparql::ExecOptions exec;
+  exec.guard = &guard;
 
   if (verb == "start") {
     std::vector<std::string> values = BodyLines(req.body);
@@ -1020,9 +1021,7 @@ HttpResponse Server::HandleSession(const HttpRequest& req,
                   "\"}\n");
   }
   if (verb == "execute") {
-    sparql::ExecOptions options;
-    options.guard = &guard;
-    auto table = session.Execute(options);
+    auto table = session.Execute(exec);
     if (!table.ok()) return ErrorResponse(table.status(), retry_after);
     return TableResponse(**table, req.QueryParamUint("limit", 0),
                          &session.last_exec_stats());
@@ -1036,7 +1035,7 @@ HttpResponse Server::HandleSession(const HttpRequest& req,
               "similarity|cluster"),
           retry_after);
     }
-    auto refinements = session.Refine(kind);
+    auto refinements = session.Refine(kind, exec);
     if (!refinements.ok()) {
       return ErrorResponse(refinements.status(), retry_after);
     }

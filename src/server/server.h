@@ -65,7 +65,8 @@
 //   DELETE /session/<id>                   end the session
 // Request knobs (query parameters): timeout_ms (clamped to
 // max_deadline_millis), max_rows, max_bytes (guard budgets), limit
-// (response row cap).
+// (response row cap). The guard they build bounds every route, the
+// session routes' synthesis and executions included.
 
 #include <atomic>
 #include <chrono>

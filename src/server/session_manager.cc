@@ -30,8 +30,7 @@ obs::Gauge& ActiveGauge() {
 
 util::Result<std::string> SessionManager::Create(
     const rdf::TripleStore* store, const core::VirtualSchemaGraph* vsg,
-    const rdf::TextIndex* text, engine::QueryEngine* engine,
-    sparql::ExecOptions exec_options) {
+    const rdf::TextIndex* text, engine::QueryEngine* engine) {
   if (vsg == nullptr || text == nullptr) {
     return util::Status::InvalidArgument(
         "this server was started without the schema-graph/text-index "
@@ -44,8 +43,8 @@ util::Result<std::string> SessionManager::Create(
         "session limit of " + std::to_string(max_sessions_) + " reached");
   }
   std::string id = "s-" + std::to_string(next_id_++);
-  sessions_.emplace(id, std::make_shared<ServerSession>(store, vsg, text,
-                                                        engine, exec_options));
+  sessions_.emplace(
+      id, std::make_shared<ServerSession>(store, vsg, text, engine));
   CreatedCounter().Inc();
   ActiveGauge().Set(static_cast<double>(sessions_.size()));
   return id;

@@ -49,8 +49,7 @@ class SessionManager {
   util::Result<std::string> Create(const rdf::TripleStore* store,
                                    const core::VirtualSchemaGraph* vsg,
                                    const rdf::TextIndex* text,
-                                   engine::QueryEngine* engine,
-                                   sparql::ExecOptions exec_options);
+                                   engine::QueryEngine* engine);
 
   /// Looks up a session and refreshes its idle clock. The returned
   /// shared_ptr keeps the session alive even if eviction races the

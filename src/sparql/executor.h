@@ -25,12 +25,10 @@ constexpr ExecutorKind DefaultExecutorKind() {
 
 /// Execution knobs.
 struct ExecOptions {
-  /// 0 = no timeout. The paper's experiments run the endpoint with a
-  /// 15-minute timeout; benches use much smaller values.
-  uint64_t timeout_millis = 0;
   /// Optional per-request guardrails (absolute deadline, memory budget,
   /// cancellation), polled by the join loop, aggregation, ORDER BY /
-  /// DISTINCT sorts, and HAVING. Non-owning; must outlive the execution.
+  /// DISTINCT sorts, and HAVING — the only limit on an execution. Null
+  /// means unbounded. Non-owning; must outlive the execution.
   /// Violations surface as kTimeout / kResourceExhausted / kCancelled.
   const util::ExecGuard* guard = nullptr;
   /// When true (and an ExecStats sink is passed), per-operator wall times

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/trace.h"
+
 namespace re2xolap::sparql {
 
 namespace {
@@ -19,7 +21,7 @@ void EncodeTable(const ResultTable& table, size_t rows, std::string* out) {
   for (size_t c = 0; c < columns.size(); ++c) {
     if (c > 0) out->append(", ");
     out->push_back('"');
-    AppendJsonEscaped(columns[c], out);
+    obs::AppendJsonEscaped(columns[c], out);
     out->push_back('"');
   }
   out->append("], \"row_count\": ");
@@ -40,9 +42,9 @@ void EncodeTable(const ResultTable& table, size_t rows, std::string* out) {
       } else {
         out->push_back('"');
         if (dict != nullptr) {
-          AppendJsonEscaped(dict->term(cell.shown()).value, out);
+          obs::AppendJsonEscaped(dict->term(cell.shown()).value, out);
         } else {
-          AppendJsonEscaped(table.CellToString(cell), out);
+          obs::AppendJsonEscaped(table.CellToString(cell), out);
         }
         out->push_back('"');
       }
@@ -53,29 +55,6 @@ void EncodeTable(const ResultTable& table, size_t rows, std::string* out) {
 }
 
 }  // namespace
-
-void AppendJsonEscaped(std::string_view s, std::string* out) {
-  size_t run = 0;  // start of the pending run of bytes copied verbatim
-  for (size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out->append(s.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default: {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out->append(buf);
-      }
-    }
-  }
-  out->append(s.data() + run, s.size() - run);
-}
 
 void AppendJsonNumber(double v, std::string* out) {
   char buf[32];

@@ -3,15 +3,10 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 
 #include "sparql/result_table.h"
 
 namespace re2xolap::sparql {
-
-/// Appends `s` to `out` as the body of a JSON string (no quotes): quote,
-/// backslash and control bytes escaped, every other byte copied.
-void AppendJsonEscaped(std::string_view s, std::string* out);
 
 /// Appends `v` in the "%.12g" form every JSON number in the server's
 /// responses uses.

@@ -5,6 +5,7 @@
 
 #include "sparql/ebv.h"
 #include "util/failpoint.h"
+#include "util/timer.h"
 
 namespace re2xolap::sparql {
 
@@ -200,7 +201,6 @@ util::Status VectorizedRunner::RunPipeline(uint64_t row_cap) {
     step_prof_.assign(plan_.steps.size(), StepProf{});
     opt_prof_.assign(plan_.optionals.size(), StepProf{});
   }
-  timer_.Restart();
   CompileSteps();
   // Row-capped runs (LIMIT probes, ASK) degrade to single-row blocks so
   // the early exit stops scanning at the row that reaches the cap —
@@ -252,9 +252,7 @@ void VectorizedRunner::FlushStats() {
 
 util::Status VectorizedRunner::BumpOps(uint64_t n) {
   const util::ExecGuard* guard = options_.guard;
-  if (options_.timeout_millis == 0 && guard == nullptr) {
-    return util::Status::OK();
-  }
+  if (guard == nullptr) return util::Status::OK();
   // Poll once per crossed interval so one large charge cannot widen the
   // deadline/cancellation window past kGuardCheckInterval scanned entries
   // (callers charge at most a block's worth per call, so this loop runs
@@ -266,14 +264,7 @@ util::Status VectorizedRunner::BumpOps(uint64_t n) {
     ops_ += step;
     n -= step;
     if (step < to_boundary) break;
-    if (options_.timeout_millis != 0 &&
-        timer_.ElapsedMillis() >
-            static_cast<double>(options_.timeout_millis)) {
-      return util::Status::Timeout("query exceeded " +
-                                   std::to_string(options_.timeout_millis) +
-                                   " ms");
-    }
-    if (guard != nullptr) RE2X_RETURN_IF_ERROR(guard->Check());
+    RE2X_RETURN_IF_ERROR(guard->Check());
   }
   return util::Status::OK();
 }

@@ -13,7 +13,6 @@
 #include "sparql/plan.h"
 #include "util/function_ref.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace re2xolap::sparql {
 
@@ -110,7 +109,7 @@ class VectorizedRunner {
   /// Runs the join; calls `on_row(bindings)` for every complete binding.
   /// When `row_cap` is non-zero the join stops early after producing that
   /// many rows (safe only when no later operator reorders/merges rows).
-  /// Returns non-OK on timeout / guard violation. The per-step counters
+  /// Returns non-OK on a guard violation. The per-step counters
   /// are flushed into the ExecStats sink on both success and error paths.
   util::Status Run(RowSink on_row, uint64_t row_cap = 0);
 
@@ -221,7 +220,6 @@ class VectorizedRunner {
   std::vector<StepProf> step_prof_;
   std::vector<StepProf> opt_prof_;
   double sink_micros_ = 0;  // time spent in the RunBlocks sink
-  util::WallTimer timer_;
   uint64_t ops_ = 0;
   uint64_t row_cap_ = 0;
   uint64_t rows_emitted_ = 0;

@@ -49,7 +49,8 @@ TEST(DescribeTest, GeneratedEurostatUsesCuratedPredicateLabels) {
                                        ds->spec.observation_class);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*ds->store);
-  Reolap reolap(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  Reolap reolap(engine, &*vsg, &text);
   auto queries = reolap.Synthesize({"Germany"});
   ASSERT_TRUE(queries.ok());
   bool labeled_desc = false;
@@ -73,11 +74,13 @@ class SimilarityMeasureTest
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store);
+    reolap = std::make_unique<Reolap>(*engine, vsg.get(), text.get());
   }
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -124,7 +127,8 @@ TEST(SimilarityMeasureOrderTest, EuclideanPrefersCloserMagnitudes) {
   auto vsg = VirtualSchemaGraph::Build(*store, re2xolap::testing::kObsClass);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*store);
-  Reolap reolap(store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*store);
+  Reolap reolap(engine, &*vsg, &text);
   auto queries = reolap.Synthesize({"China"});
   ASSERT_TRUE(queries.ok());
   ExploreState st = InitialState((*queries)[0]);

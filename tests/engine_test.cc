@@ -332,7 +332,7 @@ class EngineReolapTest : public ::testing::Test {
 
 TEST_F(EngineReolapTest, SecondValidationOfIdenticalComboIsCacheHit) {
   QueryEngine engine(*store);
-  core::Reolap reolap(store.get(), vsg.get(), text.get(), &engine);
+  core::Reolap reolap(engine, vsg.get(), text.get());
 
   obs::Counter& global_hits =
       obs::MetricsRegistry::Global().GetCounter("engine.result_cache.hits");
@@ -359,14 +359,20 @@ TEST_F(EngineReolapTest, SecondValidationOfIdenticalComboIsCacheHit) {
 }
 
 TEST_F(EngineReolapTest, EngineAndDirectPathsProduceIdenticalCandidates) {
+  // "Direct" is an engine with both caches off: every probe executes.
   QueryEngine engine(*store);
-  core::Reolap cached(store.get(), vsg.get(), text.get(), &engine);
-  core::Reolap direct(store.get(), vsg.get(), text.get());
+  EngineConfig no_cache;
+  no_cache.plan_cache_capacity = 0;
+  no_cache.result_cache_bytes = 0;
+  QueryEngine uncached(*store, no_cache);
+  core::Reolap cached(engine, vsg.get(), text.get());
+  core::Reolap direct(uncached, vsg.get(), text.get());
 
   auto a = cached.Synthesize({"Germany", "2014"});
   auto b = direct.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  EXPECT_EQ(uncached.cache_stats().result_hits, 0u);
   ASSERT_EQ(a->size(), b->size());
   for (size_t i = 0; i < a->size(); ++i) {
     EXPECT_EQ((*a)[i].description, (*b)[i].description);
@@ -425,7 +431,7 @@ TEST_F(EngineTest, ConcurrentHitMissEvictStress) {
 
 TEST_F(EngineReolapTest, ConcurrentValidationThreadsShareOneEngine) {
   QueryEngine engine(*store);
-  core::Reolap reolap(store.get(), vsg.get(), text.get(), &engine);
+  core::Reolap reolap(engine, vsg.get(), text.get());
 
   // Warm the cache serially, then fan the identical synthesis out over the
   // parallel validation path (ParallelFor probes) and over plain threads —

@@ -23,7 +23,8 @@ class ExrefTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store);
+    reolap = std::make_unique<Reolap>(*engine, vsg.get(), text.get());
   }
 
   // Synthesizes for the example and returns the initial exploration state.
@@ -43,6 +44,7 @@ class ExrefTest : public ::testing::Test {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -123,7 +125,7 @@ TEST_F(ExrefTest, TopKProducesAnchoredCuts) {
   ExploreState st = StateFor({"Germany"});
   sparql::ResultTable t = Exec(st);
   ASSERT_EQ(t.row_count(), 2u);
-  auto refs = SubsetTopK(*store, st, t);
+  auto refs = SubsetTopK(st, t);
   ASSERT_TRUE(refs.ok());
   // Germany is the max: descending cut exists (top-1), ascending cut does
   // not (Germany is last ascending, never followed by a non-example row)...
@@ -143,7 +145,7 @@ TEST_F(ExrefTest, TopKEmptyWhenExampleMissing) {
   sparql::ResultTable t = Exec(st);
   // Corrupt the example member so nothing matches.
   st.example[0].member = 1;  // some unrelated term id
-  auto refs = SubsetTopK(*store, st, t);
+  auto refs = SubsetTopK(st, t);
   ASSERT_TRUE(refs.ok());
   EXPECT_TRUE(refs->empty());
 }
@@ -155,7 +157,7 @@ TEST_F(ExrefTest, PercentileBandsAnchoredByExample) {
   // Rows per origin country: Syria=1023, China=80, Nigeria=60.
   sparql::ResultTable t = Exec(st);
   ASSERT_EQ(t.row_count(), 3u);
-  auto refs = SubsetPercentile(*store, st, t);
+  auto refs = SubsetPercentile(st, t);
   ASSERT_TRUE(refs.ok());
   ASSERT_FALSE(refs->empty());
   for (const ExploreState& r : *refs) {
@@ -170,7 +172,7 @@ TEST_F(ExrefTest, PercentileEmptyOnTinyResults) {
   sparql::ResultTable t = Exec(st);
   sparql::ResultTable tiny(t.dictionary(), t.columns());
   if (t.row_count() > 0) tiny.AddRow(t.rows()[0]);
-  auto refs = SubsetPercentile(*store, st, tiny);
+  auto refs = SubsetPercentile(st, tiny);
   ASSERT_TRUE(refs.ok());
   EXPECT_TRUE(refs->empty());
 }
@@ -245,7 +247,8 @@ class RollUpSliceTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store);
+    reolap = std::make_unique<Reolap>(*engine, vsg.get(), text.get());
   }
 
   ExploreState StateFor(std::vector<std::string> values) {
@@ -264,6 +267,7 @@ class RollUpSliceTest : public ::testing::Test {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -379,13 +383,13 @@ TEST_F(ExrefTest, ExpiredGuardEvaluatesFirstStateAndSkipsTheRest) {
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
   util::Degradation degradation;
   auto tables =
-      EvaluateStates(*store, states, {}, nullptr, nullptr, &guard,
+      EvaluateStates(*engine, states, {}, nullptr, nullptr, &guard,
                      &degradation);
   ASSERT_EQ(tables.size(), states.size());
   // Min-progress: the first preview always runs even under an expired
   // deadline; every later one is skipped with the guard's status.
   ASSERT_TRUE(tables[0].ok()) << tables[0].status().ToString();
-  EXPECT_GT(tables[0]->row_count(), 0u);
+  EXPECT_GT((*tables[0])->row_count(), 0u);
   for (size_t i = 1; i < tables.size(); ++i) {
     ASSERT_FALSE(tables[i].ok()) << "state " << i;
     EXPECT_TRUE(tables[i].status().IsTimeout())
@@ -403,7 +407,7 @@ TEST_F(ExrefTest, HealthyGuardEvaluatesAllStates) {
   util::ExecGuard guard = util::ExecGuard::WithDeadline(60 * 1000);
   util::Degradation degradation;
   auto tables =
-      EvaluateStates(*store, states, {}, nullptr, nullptr, &guard,
+      EvaluateStates(*engine, states, {}, nullptr, nullptr, &guard,
                      &degradation);
   ASSERT_EQ(tables.size(), states.size());
   for (size_t i = 0; i < tables.size(); ++i) {

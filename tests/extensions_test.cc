@@ -25,11 +25,13 @@ class ExtensionsTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store);
+    reolap = std::make_unique<Reolap>(*engine, vsg.get(), text.get());
   }
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -205,7 +207,7 @@ TEST_F(ExtensionsTest, ClusterRefinementKeepsExampleCluster) {
 
   ClusterOptions opts;
   opts.k = 2;
-  auto refs = SubsetCluster(*store, st, *table, opts);
+  auto refs = SubsetCluster(st, *table, opts);
   ASSERT_TRUE(refs.ok());
   ASSERT_FALSE(refs->empty());
   for (const ExploreState& r : *refs) {
@@ -228,7 +230,7 @@ TEST_F(ExtensionsTest, ClusterRefinementEmptyWhenTooFewRows) {
   ASSERT_TRUE(table.ok());
   ClusterOptions opts;
   opts.k = 3;
-  auto refs = SubsetCluster(*store, st, *table, opts);
+  auto refs = SubsetCluster(st, *table, opts);
   ASSERT_TRUE(refs.ok());
   EXPECT_TRUE(refs->empty());
 }
@@ -239,7 +241,7 @@ TEST_F(ExtensionsTest, ClusterViaSession) {
   ASSERT_TRUE(session.PickCandidate(0).ok());
   ClusterOptions copts;
   copts.k = 2;
-  auto refs = session.Refine(RefinementKind::kCluster, {}, {}, copts);
+  auto refs = session.Refine(RefinementKind::kCluster, {}, {}, {}, copts);
   ASSERT_TRUE(refs.ok());
   EXPECT_FALSE(refs->empty());
   EXPECT_STREQ(RefinementKindName(RefinementKind::kCluster), "Cluster");
@@ -248,7 +250,7 @@ TEST_F(ExtensionsTest, ClusterViaSession) {
 // --- Profiler ---------------------------------------------------------------------------
 
 TEST_F(ExtensionsTest, ProfileReportsStructureAndStats) {
-  auto profile = ProfileDataset(*store, *vsg);
+  auto profile = ProfileDataset(*vsg, *engine);
   ASSERT_TRUE(profile.ok()) << profile.status().ToString();
   EXPECT_EQ(profile->observation_count, 5u);
   EXPECT_EQ(profile->triple_count, store->size());
@@ -268,7 +270,7 @@ TEST_F(ExtensionsTest, ProfileReportsStructureAndStats) {
 }
 
 TEST_F(ExtensionsTest, ProfileSamplesMemberLabels) {
-  auto profile = ProfileDataset(*store, *vsg);
+  auto profile = ProfileDataset(*vsg, *engine);
   ASSERT_TRUE(profile.ok());
   bool found_germany = false;
   for (const DimensionProfile& d : profile->dimensions) {
@@ -297,11 +299,13 @@ class ContrastTest : public ::testing::Test {
     ASSERT_TRUE(r.ok());
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store);
+    reolap = std::make_unique<Reolap>(*engine, vsg.get(), text.get());
   }
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 

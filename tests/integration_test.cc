@@ -26,11 +26,14 @@ class EurostatIntegration : public ::testing::Test {
     ASSERT_TRUE(vsg.ok());
     vsg_ = new VirtualSchemaGraph(std::move(vsg).value());
     text_ = new rdf::TextIndex(*dataset_->store);
+    engine_ = new engine::QueryEngine(*dataset_->store);
   }
   static void TearDownTestSuite() {
+    delete engine_;
     delete text_;
     delete vsg_;
     delete dataset_;
+    engine_ = nullptr;
     text_ = nullptr;
     vsg_ = nullptr;
     dataset_ = nullptr;
@@ -39,14 +42,16 @@ class EurostatIntegration : public ::testing::Test {
   static qb::GeneratedDataset* dataset_;
   static VirtualSchemaGraph* vsg_;
   static rdf::TextIndex* text_;
+  static engine::QueryEngine* engine_;
 };
 
 qb::GeneratedDataset* EurostatIntegration::dataset_ = nullptr;
 VirtualSchemaGraph* EurostatIntegration::vsg_ = nullptr;
 rdf::TextIndex* EurostatIntegration::text_ = nullptr;
+engine::QueryEngine* EurostatIntegration::engine_ = nullptr;
 
 TEST_F(EurostatIntegration, GermanyHasTwoInterpretations) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  Reolap reolap(*engine_, vsg_, text_);
   // "Germany" labels both an origin-country and a destination-country
   // member: two interpretations, two queries (paper Section 5 example).
   std::vector<Interpretation> interps = reolap.MatchValue("Germany");
@@ -57,7 +62,7 @@ TEST_F(EurostatIntegration, GermanyHasTwoInterpretations) {
 }
 
 TEST_F(EurostatIntegration, Germany2014ProducesTwoValidQueries) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  Reolap reolap(*engine_, vsg_, text_);
   auto queries = reolap.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(queries.ok());
   // Origin x Year and Destination x Year.
@@ -74,7 +79,7 @@ TEST_F(EurostatIntegration, Germany2014ProducesTwoValidQueries) {
 }
 
 TEST_F(EurostatIntegration, HierarchyLevelExample) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  Reolap reolap(*engine_, vsg_, text_);
   // "Asia" is an origin continent: reached via countryOrigin/inContinent.
   auto queries = reolap.Synthesize({"Asia", "2014"});
   ASSERT_TRUE(queries.ok());
@@ -121,7 +126,7 @@ TEST_F(EurostatIntegration, RefinementChainPreservesSubsumption) {
 }
 
 TEST_F(EurostatIntegration, DisaggregateMatchesProblem2aCardinality) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  Reolap reolap(*engine_, vsg_, text_);
   auto queries = reolap.Synthesize({"Germany"});
   ASSERT_TRUE(queries.ok());
   ASSERT_FALSE(queries->empty());
@@ -137,7 +142,7 @@ TEST_F(EurostatIntegration, DisaggregateMatchesProblem2aCardinality) {
 }
 
 TEST_F(EurostatIntegration, SubsetRefinementsAreStrictSubsets) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  Reolap reolap(*engine_, vsg_, text_);
   auto queries = reolap.Synthesize({"Syria"});
   ASSERT_TRUE(queries.ok());
   ASSERT_FALSE(queries->empty());
@@ -146,7 +151,7 @@ TEST_F(EurostatIntegration, SubsetRefinementsAreStrictSubsets) {
   ASSERT_TRUE(table.ok());
   const size_t full = table->row_count();
 
-  auto topk = SubsetTopK(*dataset_->store, st, *table);
+  auto topk = SubsetTopK(st, *table);
   ASSERT_TRUE(topk.ok());
   for (const ExploreState& r : *topk) {
     auto rt = sparql::Execute(*dataset_->store, r.query);
@@ -155,7 +160,7 @@ TEST_F(EurostatIntegration, SubsetRefinementsAreStrictSubsets) {
     EXPECT_EQ(rt->column_count(), table->column_count());  // D(T_r)=D(T)
     EXPECT_FALSE(ExampleRowIndexes(r, *rt).empty());       // T_E ⊑ T_r
   }
-  auto perc = SubsetPercentile(*dataset_->store, st, *table);
+  auto perc = SubsetPercentile(st, *table);
   ASSERT_TRUE(perc.ok());
   for (const ExploreState& r : *perc) {
     auto rt = sparql::Execute(*dataset_->store, r.query);
@@ -181,7 +186,7 @@ TEST_F(EurostatIntegration, SimilarityKeepsKPlusExample) {
   ASSERT_TRUE(session.PickRefinement(year_idx).ok());
   SimilarityOptions opts;
   opts.k = 3;
-  auto sim = session.Refine(RefinementKind::kSimilarity, opts);
+  auto sim = session.Refine(RefinementKind::kSimilarity, {}, opts);
   ASSERT_TRUE(sim.ok());
   ASSERT_FALSE(sim->empty());
   ASSERT_TRUE(session.PickRefinement(0).ok());
@@ -206,7 +211,7 @@ TEST_F(EurostatIntegration, BaselineCannotProduceAnalytics) {
 }
 
 TEST_F(EurostatIntegration, SynthesisIsDeterministic) {
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  Reolap reolap(*engine_, vsg_, text_);
   auto a = reolap.Synthesize({"Germany", "2014"});
   auto b = reolap.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(a.ok());
@@ -221,7 +226,7 @@ TEST_F(EurostatIntegration, SynthesizedSparqlTextRoundTrips) {
   // The emitted SPARQL text must be parseable by our own parser and give
   // identical results — guaranteeing the system works over a standard
   // SPARQL interface (paper: "operates on standard SPARQL interfaces").
-  Reolap reolap(dataset_->store.get(), vsg_, text_);
+  Reolap reolap(*engine_, vsg_, text_);
   auto queries = reolap.Synthesize({"Asia", "2014"});
   ASSERT_TRUE(queries.ok());
   for (const CandidateQuery& q : *queries) {

@@ -108,6 +108,12 @@ TEST(TraceTest, ChromeTraceExportIsWellFormedJson) {
   EXPECT_TRUE(re2xolap::testing::IsValidJson(json, &error)) << error;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+  EXPECT_NE(json.find("capture \\\"quoted\\\"\\n"), std::string::npos);
+  // The one escaper every JSON writer shares (traces, metrics, the query
+  // log, server bodies, result tables): quote, backslash and control bytes
+  // escaped, every other byte (UTF-8 included) copied.
+  EXPECT_EQ(obs::JsonEscape(std::string("a\"b\\c\x01\x1f\r\t\0\xc3\xa9", 12)),
+            "a\\\"b\\\\c\\u0001\\u001f\\r\\t\\u0000\xc3\xa9");
 }
 
 TEST(TraceTest, ClearDiscardsSpans) {

@@ -49,6 +49,7 @@ struct Env {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -60,9 +61,9 @@ Env MakeEnv(std::unique_ptr<rdf::TripleStore> store,
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   env.vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
   env.text = std::make_unique<rdf::TextIndex>(*env.store);
+  env.engine = std::make_unique<engine::QueryEngine>(*env.store);
   env.reolap =
-      std::make_unique<Reolap>(env.store.get(), env.vsg.get(),
-                               env.text.get());
+      std::make_unique<Reolap>(*env.engine, env.vsg.get(), env.text.get());
   return env;
 }
 
@@ -205,17 +206,22 @@ TEST(ParallelExrefTest, DisaggregateAndEvaluateMatchSerial) {
   }
 
   std::vector<sparql::ExecStats> serial_stats, parallel_stats;
-  auto serial_tables = EvaluateStates(*env.store, serial_states, {}, nullptr,
-                                      &serial_stats);
-  auto parallel_tables = EvaluateStates(*env.store, parallel_states, {},
+  // Separate engines: a shared one would serve the second fan-out from
+  // its result cache and leave no execution to compare.
+  engine::QueryEngine serial_engine(*env.store);
+  engine::QueryEngine parallel_engine(*env.store);
+  auto serial_tables = EvaluateStates(serial_engine, serial_states, {},
+                                      nullptr, &serial_stats);
+  auto parallel_tables = EvaluateStates(parallel_engine, parallel_states, {},
                                         &pool, &parallel_stats);
   ASSERT_EQ(serial_tables.size(), parallel_tables.size());
   ASSERT_EQ(parallel_stats.size(), parallel_tables.size());
   for (size_t i = 0; i < serial_tables.size(); ++i) {
     ASSERT_TRUE(serial_tables[i].ok());
     ASSERT_TRUE(parallel_tables[i].ok());
-    EXPECT_EQ(serial_tables[i]->row_count(), parallel_tables[i]->row_count());
-    EXPECT_EQ(serial_tables[i]->columns(), parallel_tables[i]->columns());
+    EXPECT_EQ((*serial_tables[i])->row_count(),
+              (*parallel_tables[i])->row_count());
+    EXPECT_EQ((*serial_tables[i])->columns(), (*parallel_tables[i])->columns());
     EXPECT_EQ(serial_stats[i].intermediate_bindings,
               parallel_stats[i].intermediate_bindings);
   }

@@ -245,7 +245,8 @@ TEST_P(ReolapPropertyTest, SynthesisGuarantees) {
                                              ds->spec.observation_class);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*ds->store);
-  core::Reolap reolap(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  core::Reolap reolap(engine, &*vsg, &text);
 
   std::vector<std::string> tuple = {c.v0};
   if (c.v1) tuple.push_back(c.v1);
@@ -278,7 +279,8 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
                                              ds->spec.observation_class);
   ASSERT_TRUE(vsg.ok());
   rdf::TextIndex text(*ds->store);
-  core::Reolap reolap(ds->store.get(), &*vsg, &text);
+  engine::QueryEngine engine(*ds->store);
+  core::Reolap reolap(engine, &*vsg, &text);
 
   std::vector<std::string> tuple = {c.v0};
   if (c.v1) tuple.push_back(c.v1);
@@ -301,7 +303,7 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
   }
 
   // Problem 2b: strict subsets, same dimensions, example kept.
-  auto topk = core::SubsetTopK(*ds->store, st, *table);
+  auto topk = core::SubsetTopK(st, *table);
   ASSERT_TRUE(topk.ok());
   for (const core::ExploreState& r : *topk) {
     auto rt = sparql::Execute(*ds->store, r.query);
@@ -310,7 +312,7 @@ TEST_P(ReolapPropertyTest, RefinementGuarantees) {
     EXPECT_EQ(rt->column_count(), table->column_count());
     EXPECT_FALSE(core::ExampleRowIndexes(r, *rt).empty()) << r.description;
   }
-  auto perc = core::SubsetPercentile(*ds->store, st, *table);
+  auto perc = core::SubsetPercentile(st, *table);
   ASSERT_TRUE(perc.ok());
   for (const core::ExploreState& r : *perc) {
     auto rt = sparql::Execute(*ds->store, r.query);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/reolap.h"
+#include "engine/query_engine.h"
 #include "obs/metrics.h"
 #include "sparql/executor.h"
 #include "tests/test_data.h"
@@ -23,7 +24,8 @@ class ReolapTest : public ::testing::Test {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     vsg = std::make_unique<VirtualSchemaGraph>(std::move(r).value());
     text = std::make_unique<rdf::TextIndex>(*store);
-    reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+    engine = std::make_unique<engine::QueryEngine>(*store);
+    reolap = std::make_unique<Reolap>(*engine, vsg.get(), text.get());
   }
 
   std::vector<CandidateQuery> Synthesize(std::vector<std::string> values) {
@@ -35,6 +37,7 @@ class ReolapTest : public ::testing::Test {
   std::unique_ptr<rdf::TripleStore> store;
   std::unique_ptr<VirtualSchemaGraph> vsg;
   std::unique_ptr<rdf::TextIndex> text;
+  std::unique_ptr<engine::QueryEngine> engine;
   std::unique_ptr<Reolap> reolap;
 };
 
@@ -119,12 +122,6 @@ TEST_F(ReolapTest, ValidationPrunesDisconnectedCombos) {
   // France with Africa must be pruned by validation.
   std::vector<CandidateQuery> queries = Synthesize({"France", "Africa"});
   EXPECT_TRUE(queries.empty());
-  // Sanity: validation can be turned off.
-  ReolapOptions no_validate;
-  no_validate.validate = false;
-  auto r = reolap->Synthesize({"France", "Africa"}, no_validate);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 1u);
 }
 
 TEST_F(ReolapTest, UnknownValueShortCircuits) {
@@ -159,9 +156,9 @@ TEST_F(ReolapTest, ValidateComboDirectly) {
   std::vector<Interpretation> africa = reolap->MatchValue("Africa");
   ASSERT_EQ(germany.size(), 1u);
   ASSERT_EQ(africa.size(), 1u);
-  EXPECT_TRUE(reolap->ValidateCombo({germany[0], africa[0]}, 1000));
+  EXPECT_TRUE(reolap->ValidateCombo({germany[0], africa[0]}));
   std::vector<Interpretation> france = reolap->MatchValue("France");
-  EXPECT_FALSE(reolap->ValidateCombo({france[0], africa[0]}, 1000));
+  EXPECT_FALSE(reolap->ValidateCombo({france[0], africa[0]}));
 }
 
 TEST_F(ReolapTest, QueryRendersAsSparqlText) {
@@ -171,15 +168,6 @@ TEST_F(ReolapTest, QueryRendersAsSparqlText) {
   EXPECT_NE(text.find("GROUP BY"), std::string::npos);
   EXPECT_NE(text.find("SUM"), std::string::npos);
   EXPECT_NE(text.find("refPeriod"), std::string::npos);
-}
-
-TEST_F(ReolapTest, AllAggregatesOffProducesSumOnly) {
-  ReolapOptions opts;
-  opts.all_aggregates = false;
-  auto r = reolap->Synthesize({"Germany"}, opts);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 1u);
-  EXPECT_EQ((*r)[0].measure_columns.size(), 1u);
 }
 
 // --- graceful degradation under deadlines ------------------------------------------
@@ -192,15 +180,38 @@ util::ExecGuard ExpiredGuard() {
 }
 
 TEST_F(ReolapTest, TinyDeadlineStillProducesTheFirstBlock) {
-  // Min-progress guarantee: even a 1 ms overall budget yields the
-  // validated candidates of the first block instead of erroring.
+  // Min-progress guarantee: even an already expired guard yields the
+  // validated candidates of the first block instead of erroring — its
+  // probes run under child guards floored at 25 ms.
+  util::ExecGuard guard = ExpiredGuard();
   ReolapOptions opts;
-  opts.overall_deadline_millis = 1;
+  opts.guard = &guard;
   opts.num_threads = 1;
   ReolapStats stats;
   auto r = reolap->Synthesize({"Germany", "2014"}, opts, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->size(), 1u);
+}
+
+TEST_F(ReolapTest, ProbesShareTheCallersCancellation) {
+  // A probe's child guard carries the caller's token: once the caller is
+  // cancelled (a draining server), even the min-progress block's probes
+  // stop, so nothing validates and no candidate comes back.
+  std::vector<Interpretation> germany = reolap->MatchValue("Germany");
+  std::vector<Interpretation> africa = reolap->MatchValue("Africa");
+  ASSERT_EQ(germany.size(), 1u);
+  ASSERT_EQ(africa.size(), 1u);
+  util::CancellationToken token;
+  util::ExecGuard parent(util::ExecGuard::Limits{}, &token);
+  EXPECT_TRUE(reolap->ValidateCombo({germany[0], africa[0]}, &parent));
+  token.Cancel();
+  EXPECT_FALSE(reolap->ValidateCombo({germany[0], africa[0]}, &parent));
+  ReolapOptions opts;
+  opts.guard = &parent;
+  opts.num_threads = 1;
+  auto r = reolap->Synthesize({"Germany", "2014"}, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->empty());
 }
 
 TEST_F(ReolapTest, ExpiredGuardTruncatesCombinationEnumeration) {
@@ -220,7 +231,7 @@ TEST_F(ReolapTest, ExpiredGuardTruncatesCombinationEnumeration) {
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   vsg = std::make_unique<VirtualSchemaGraph>(std::move(rebuilt).value());
   text = std::make_unique<rdf::TextIndex>(*store);
-  reolap = std::make_unique<Reolap>(store.get(), vsg.get(), text.get());
+  reolap = std::make_unique<Reolap>(*engine, vsg.get(), text.get());
   ASSERT_EQ(reolap->MatchValue("Germany").size(), 2u);
 
   obs::Counter& timeouts =

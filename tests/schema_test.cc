@@ -81,7 +81,8 @@ TEST_F(VsgUpdateTest, UpdatedGraphServesSynthesis) {
   AppendMaliObservation();
   ASSERT_TRUE(vsg->Update(*store, kObsClass).ok());
   rdf::TextIndex text(*store);
-  Reolap reolap(store.get(), vsg.get(), &text);
+  engine::QueryEngine engine(*store);
+  Reolap reolap(engine, vsg.get(), &text);
   auto queries = reolap.Synthesize({"Mali"});
   ASSERT_TRUE(queries.ok());
   ASSERT_EQ(queries->size(), 1u);
@@ -173,7 +174,8 @@ TEST_F(Qb4olapTest, ImportedGraphServesSynthesis) {
   auto imported = BuildFromQb4Olap(*store, ds_iri);
   ASSERT_TRUE(imported.ok());
   rdf::TextIndex text(*store);
-  Reolap reolap(store.get(), &*imported, &text);
+  engine::QueryEngine engine(*store);
+  Reolap reolap(engine, &*imported, &text);
   auto queries = reolap.Synthesize({"Germany", "2014"});
   ASSERT_TRUE(queries.ok());
   ASSERT_EQ(queries->size(), 1u);
@@ -304,7 +306,8 @@ TEST_F(ViewTest, ViewBootstrapsAndSynthesizes) {
   EXPECT_EQ(vsg->dimension_count(), 2u);
   EXPECT_EQ(vsg->measure_count(), 1u);
   rdf::TextIndex text(**view);
-  Reolap reolap(view->get(), &*vsg, &text);
+  engine::QueryEngine engine(**view);
+  Reolap reolap(engine, &*vsg, &text);
   auto queries = reolap.Synthesize({"France", "Drama"});
   ASSERT_TRUE(queries.ok());
   ASSERT_EQ(queries->size(), 1u);

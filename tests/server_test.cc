@@ -495,6 +495,34 @@ TEST_F(ServerTest, DrainGuardCancelsStragglers) {
   EXPECT_NE(body.find("Cancelled"), std::string::npos) << body;
 }
 
+TEST_F(ServerTest, RefineExecutesUnderTheRequestDeadline) {
+  // A TopK refinement straight after pick has no cached result, so refine
+  // executes the current query itself — under the request's guard, not a
+  // session default: a 50 ms deadline against a 300 ms injected delay
+  // answers 504.
+  HttpClient client = StartServer();
+  auto created = client.Post("/session", "");
+  ASSERT_TRUE(created.ok()) << created.status();
+  ASSERT_EQ(created->status, 200) << created->body;
+  const size_t at = created->body.find("s-");
+  const std::string base =
+      "/session/" +
+      created->body.substr(at, created->body.find('"', at) - at);
+  auto started = client.Post(base + "/start", "Germany\n2014\n");
+  ASSERT_TRUE(started.ok()) << started.status();
+  ASSERT_EQ(started->status, 200) << started->body;
+  auto picked = client.Post(base + "/pick?index=0", "");
+  ASSERT_TRUE(picked.ok()) << picked.status();
+  ASSERT_EQ(picked->status, 200) << picked->body;
+  ASSERT_TRUE(util::FailpointRegistry::Global()
+                  .Configure("engine.execute=delay:300")
+                  .ok());
+  auto refined = client.Post(base + "/refine?kind=topk&timeout_ms=50", "");
+  util::FailpointRegistry::Global().DisarmAll();
+  ASSERT_TRUE(refined.ok()) << refined.status();
+  EXPECT_EQ(refined->status, 504) << refined->body;
+}
+
 TEST_F(ServerTest, WaitForStopRequestUnblocksOnSignalPath) {
   HttpClient client = StartServer();
   std::thread signaler([&] {
@@ -613,8 +641,7 @@ class SessionManagerTest : public ::testing::Test {
   }
 
   util::Result<std::string> Create(SessionManager& mgr) {
-    return mgr.Create(store_.get(), vsg_.get(), text_.get(), engine_.get(),
-                      sparql::ExecOptions{});
+    return mgr.Create(store_.get(), vsg_.get(), text_.get(), engine_.get());
   }
 
   std::unique_ptr<rdf::TripleStore> store_;
@@ -642,8 +669,7 @@ TEST_F(SessionManagerTest, CapAndStoreOnlyDatasetAreTypedErrors) {
   ASSERT_TRUE(Create(mgr).ok());
   EXPECT_TRUE(Create(mgr).status().IsResourceExhausted());
   EXPECT_TRUE(mgr
-                  .Create(store_.get(), nullptr, nullptr, engine_.get(),
-                          sparql::ExecOptions{})
+                  .Create(store_.get(), nullptr, nullptr, engine_.get())
                   .status().IsInvalidArgument());
 }
 
